@@ -22,8 +22,6 @@ from .words import (Budget, Distinct, Equivalent, Unknown, degree, equivalent,
                     parse_word, print_word, relation_catalog, singularity_count,
                     theta)
 
-_KIND_CHAR = {0: "+", 1: "-", 2: "s"}
-
 
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -32,8 +30,7 @@ def _build_parser() -> argparse.ArgumentParser:
                     "diagrams, formal sums, and surfaces.")
     subs = parser.add_subparsers(dest="command", required=True)
 
-    def add(name: str, help_text: str, *, words: int = 0, n_required: bool = True,
-            search: bool = False):
+    def add(name: str, help_text: str, *, words: int = 0, n_required: bool = True):
         p = subs.add_parser(name, help=help_text)
         if name != "from-gauss":
             p.add_argument("--n", type=int, required=n_required,
@@ -42,17 +39,16 @@ def _build_parser() -> argparse.ArgumentParser:
         for label in names:
             p.add_argument(label, help="braid word: tokens like s1, s1', r2, t1; "
                            "e for the empty word")
-        if search:
-            p.add_argument("--budget", type=int, default=None,
-                           help="search node budget (default 200000)")
-            p.add_argument("--max-len", type=int, default=None,
-                           help="length cap for intermediate words")
         p.add_argument("--format", choices=("text", "json"), default="text")
         return p
 
     add("parse", "parse a word and echo its normal spelling", words=1)
     add("invariants", "permutation, degree, and singularity count", words=1)
-    add("equiv", "decide equivalence of two words", words=2, search=True)
+    p = add("equiv", "decide equivalence of two words", words=2)
+    p.add_argument("--budget", type=int, default=None,
+                   help="search node budget (default 200000)")
+    p.add_argument("--max-len", type=int, default=None,
+                   help="length cap for intermediate words")
     add("to-gauss", "Gauss diagram of a word", words=1)
     p = add("from-gauss", "braid word realizing a Gauss diagram")
     p.add_argument("diagram", help="diagram as JSON: "
@@ -65,7 +61,7 @@ def _build_parser() -> argparse.ArgumentParser:
     add("genus", "Euler characteristic, boundary count, and capped genus",
         words=1)
     add("relations", "list the defining relation instances at this strand count")
-    p = add("verify", "run a property suite", search=True)
+    p = add("verify", "run a property suite")
     p.add_argument("suite", choices=SUITE_NAMES)
     p.add_argument("--seed", type=int, default=0)
     return parser
@@ -79,9 +75,9 @@ def _emit(fmt: str, payload, text: str) -> str:
 
 def _budget(args: argparse.Namespace) -> Budget:
     kwargs = {}
-    if getattr(args, "budget", None) is not None:
+    if args.budget is not None:
         kwargs["nodes"] = args.budget
-    if getattr(args, "max_len", None) is not None:
+    if args.max_len is not None:
         kwargs["max_len"] = args.max_len
     return Budget(**kwargs)
 
@@ -128,11 +124,11 @@ def _cmd_equiv(args) -> tuple[int, str]:
 
 
 def _cmd_to_gauss(args) -> tuple[int, str]:
-    g = gauss_of_braid(parse_word(args.word, args.n))
-    lines = [f"n: {g.n}"]
-    lines += [f"arrow: {a.tail} -> {a.head} {_KIND_CHAR[a.kind]}" for a in g.arrows]
-    lines.append(f"perm: {list(g.perm)}")
-    return 0, _emit(args.format, gauss_to_dict(g), "\n".join(lines) + "\n")
+    d = gauss_to_dict(gauss_of_braid(parse_word(args.word, args.n)))
+    lines = [f"n: {d['n']}"]
+    lines += [f"arrow: {a['tail']} -> {a['head']} {a['kind']}" for a in d["arrows"]]
+    lines.append(f"perm: {d['perm']}")
+    return 0, _emit(args.format, d, "\n".join(lines) + "\n")
 
 
 def _cmd_from_gauss(args) -> tuple[int, str]:

@@ -24,6 +24,7 @@ from dataclasses import dataclass
 from enum import IntEnum
 from typing import Iterable, NamedTuple
 
+from .search import SearchStats, bidirectional_search
 from .words import (
     BraidWord, Budget, Distinct, Equivalent, Kind, TraceStep, Unknown, Verdict,
     apply_step, identity_perm, invert_perm, compose_perms, is_perm, invert_step,
@@ -245,30 +246,14 @@ def omega_neighbors(g: GaussWord, max_arrows: int | None = None) -> tuple[tuple[
     """Diagrams one omega move away; insertions are capped at ``max_arrows``
     (defaults to two more than the current size)."""
     cap = max_arrows if max_arrows is not None else len(g.arrows) + 2
-    out = []
-    for label, p, before, after, child in _arrow_neighbors(
-            _encode_arrows(g.arrows), g.n, cap):
-        out.append((TraceStep(label, p, before, after),
-                    GaussWord(g.n, _decode_arrows(child), g.perm)))
-    return tuple(out)
+    return tuple((TraceStep(*move), GaussWord(g.n, child, g.perm))
+                 for *move, child in _arrow_neighbors(g.arrows, g.n, cap))
 
 
-def _encode_arrows(arrows: Iterable[Arrow]) -> bytes:
-    return bytes(x for a in arrows for x in (a.tail, a.head, int(a.kind)))
-
-
-def _decode_arrows(data: bytes) -> tuple[Arrow, ...]:
-    return tuple(Arrow(data[i], data[i + 1], ArrowKind(data[i + 2]))
-                 for i in range(0, len(data), 3))
-
-
-def _arrow_neighbors(state: bytes, n: int, max_arrows: int):
-    arrows = _decode_arrows(state)
-    out = []
-    for label, p, before, after in _omega_moves(arrows, n, max_arrows):
-        child = state[:3 * p] + _encode_arrows(after) + state[3 * (p + len(before)):]
-        out.append((label, p, before, after, child))
-    return out
+def _arrow_neighbors(arrows: tuple[Arrow, ...], n: int, max_arrows: int):
+    """Search neighbours of an arrow tuple, which is itself the search state."""
+    return [(label, p, before, after, arrows[:p] + after + arrows[p + len(before):])
+            for label, p, before, after in _omega_moves(arrows, n, max_arrows)]
 
 
 def replay_omega_trace(g: GaussWord, trace: Iterable[TraceStep]) -> GaussWord:
@@ -299,24 +284,16 @@ def omega_equivalent(g: GaussWord, h: GaussWord, budget: Budget | None = None) -
         if budget.max_moves is None or len(trace) <= budget.max_moves:
             return Equivalent(trace)
 
-    from .search import bidirectional_search
-
     max_arrows = budget.resolve_max_len(len(g.arrows), len(h.arrows))
-
-    def neighbors(state):
-        return _arrow_neighbors(state, g.n, max_arrows)
-
     found = bidirectional_search(
-        _encode_arrows(g.arrows), _encode_arrows(h.arrows), None,
-        max_nodes=budget.nodes, max_len=max_arrows,
-        max_moves=budget.max_moves, neighbors=neighbors)
-    if isinstance(found, list):
-        trace = tuple(TraceStep(label, p, before, after)
-                      for label, p, before, after in found)
-        if replay_omega_trace(g, trace).arrows != h.arrows:
-            raise AssertionError("search produced a trace that does not replay")
-        return Equivalent(trace)
-    return Unknown(*found)
+        g.arrows, h.arrows, lambda state: _arrow_neighbors(state, g.n, max_arrows),
+        max_nodes=budget.nodes, max_moves=budget.max_moves)
+    if isinstance(found, SearchStats):
+        return Unknown(*found)
+    trace = tuple(TraceStep(*move) for move in found)
+    if replay_omega_trace(g, trace).arrows != h.arrows:
+        raise AssertionError("search produced a trace that does not replay")
+    return Equivalent(trace)
 
 
 # --- serialisation ------------------------------------------------------

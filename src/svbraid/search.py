@@ -1,11 +1,11 @@
 """Bounded bidirectional breadth-first search over rewrite moves.
 
-States are opaque hashables (packed bytes in practice).  A neighbor
-function yields ``(label, position, before, after, next_state)`` tuples in
-a fixed order, so runs are deterministic for a given budget.  The move set
-must be closed under inversion: swapping ``before`` and ``after`` of any
-move is again a legal move.  That lets the backward frontier grow with the
-same neighbor function.
+States are opaque hashables: packed strings for words, arrow tuples for
+Gauss diagrams.  A neighbor function yields ``(label, position, before,
+after, next_state)`` tuples in a fixed order, so runs are deterministic
+for a given budget.  The move set must be closed under inversion:
+swapping ``before`` and ``after`` of any move is again a legal move.
+That lets the backward frontier grow with the same neighbor function.
 """
 
 from __future__ import annotations
@@ -25,26 +25,16 @@ Move = tuple  # (label, position, before, after)
 def bidirectional_search(
     start: Hashable,
     goal: Hashable,
-    rules,
+    neighbors: Callable,
     *,
     max_nodes: int,
-    max_len: int,
     max_moves: int | None = None,
-    neighbors: Callable | None = None,
 ) -> list[Move] | SearchStats:
     """Search from both ends; a list of moves transforms start into goal.
 
-    ``rules`` and ``max_len`` feed the default byte-rewrite neighbor
-    function; pass ``neighbors`` to search a different move system.
     Returns SearchStats instead of a path when the node budget, the move
     cap, or frontier exhaustion stops the search.
     """
-    if neighbors is None:
-        from .words import _byte_neighbors
-
-        def neighbors(state):
-            return _byte_neighbors(state, rules, max_len)
-
     if start == goal:
         return []
 

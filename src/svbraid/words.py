@@ -26,6 +26,8 @@ from enum import IntEnum
 from functools import lru_cache
 from typing import Iterable, NamedTuple
 
+from .search import SearchStats, bidirectional_search
+
 
 class Kind(IntEnum):
     POS = 0
@@ -379,19 +381,20 @@ def _cancels(a: Generator, b: Generator) -> bool:
     return kinds in ((Kind.POS, Kind.NEG), (Kind.NEG, Kind.POS), (Kind.VIRT, Kind.VIRT))
 
 
-# Letters pack into single bytes so search states hash at C speed.
+# Each letter packs into one character, code point 4*(index-1) + kind, so
+# search states find, slice and hash at C speed at any strand count.
 
-def encode_letters(letters: Iterable[Generator]) -> bytes:
-    return bytes(4 * (g.index - 1) + g.kind for g in letters)
+def encode_letters(letters: Iterable[Generator]) -> str:
+    return "".join(chr(4 * (g.index - 1) + g.kind) for g in letters)
 
 
-def decode_letters(data: bytes) -> tuple[Generator, ...]:
-    return tuple(Generator(Kind(b & 3), (b >> 2) + 1) for b in data)
+def decode_letters(data: str) -> tuple[Generator, ...]:
+    return tuple(Generator(Kind(c & 3), (c >> 2) + 1) for c in map(ord, data))
 
 
 @lru_cache(maxsize=None)
 def _rewrite_rules(n: int, families: frozenset[str] | None = None
-                   ) -> tuple[tuple[str, bytes, bytes], ...]:
+                   ) -> tuple[tuple[str, str, str], ...]:
     rules = []
     for family, lhs, rhs in relation_catalog(n):
         if families is not None and family not in families:
@@ -402,7 +405,7 @@ def _rewrite_rules(n: int, families: frozenset[str] | None = None
     return tuple(sorted(set(rules)))
 
 
-def _byte_neighbors(state: bytes, rules, max_len: int):
+def _byte_neighbors(state: str, rules, max_len: int):
     """All one-step rewrites of ``state``, as (label, pos, pat, rep, result)."""
     out = []
     size = len(state)
@@ -432,6 +435,21 @@ def rewrite_neighbors(w: BraidWord, max_len: int) -> tuple[tuple[TraceStep, Brai
         step = TraceStep(label, p, decode_letters(pat), decode_letters(rep))
         out.append((step, BraidWord(w.n, decode_letters(result))))
     return tuple(out)
+
+
+def _word_search(start: tuple[Generator, ...], goal: tuple[Generator, ...],
+                 rules, max_len: int, max_nodes: int,
+                 max_moves: int | None = None, offset: int = 0):
+    """Bidirectional search between two letter sequences under ``rules``:
+    the moves as TraceSteps shifted by ``offset``, or the SearchStats."""
+    found = bidirectional_search(
+        encode_letters(start), encode_letters(goal),
+        lambda state: _byte_neighbors(state, rules, max_len),
+        max_nodes=max_nodes, max_moves=max_moves)
+    if isinstance(found, SearchStats):
+        return found
+    return tuple(TraceStep(label, p + offset, decode_letters(pat), decode_letters(rep))
+                 for label, p, pat, rep in found)
 
 
 # --- equivalence search -------------------------------------------------
@@ -514,7 +532,6 @@ def _diagram_normal_trace(w: BraidWord, budget: Budget):
     one crossing and stays cheap.  Returns None when a sub-search fails.
     """
     from . import gauss as _gauss
-    from .search import bidirectional_search
 
     g = _gauss.gauss_of_braid(w)
     crossings, prefixes, virtual_content = _conjugated_split(w)
@@ -545,15 +562,12 @@ def _diagram_normal_trace(w: BraidWord, budget: Budget):
     def sub_search(start: tuple, goal: tuple, offset: int, families=None) -> bool:
         if start == goal:
             return True
-        found = bidirectional_search(
-            encode_letters(start), encode_letters(goal),
-            _rewrite_rules(w.n, families), max_nodes=sub_nodes,
-            max_len=max(len(start), len(goal)) + slack)
-        if not isinstance(found, list):
+        found = _word_search(start, goal, _rewrite_rules(w.n, families),
+                             max(len(start), len(goal)) + slack, sub_nodes,
+                             offset=offset)
+        if isinstance(found, SearchStats):
             return False
-        for label, p, pat, rep in found:
-            trace.append(TraceStep(label, p + offset,
-                                   decode_letters(pat), decode_letters(rep)))
+        trace.extend(found)
         return True
 
     virtual_only = frozenset({"V1", "V3", "V4"})
@@ -616,10 +630,14 @@ def equivalent(u: BraidWord, v: BraidWord, budget: Budget | None = None) -> Verd
     ur, trace_u = free_reduce_trace(u)
     vr, trace_v = free_reduce_trace(v)
     tail = tuple(invert_step(s) for s in reversed(trace_v))
+    # the free reductions are part of every certificate built from ur, vr
+    moves_left = None
+    if budget.max_moves is not None:
+        moves_left = budget.max_moves - len(trace_u) - len(tail)
     if ur.letters == vr.letters:
+        if moves_left is not None and moves_left < 0:
+            return Unknown(0, 0, 0)
         return Equivalent(trace_u + tail)
-
-    from .search import bidirectional_search
 
     # Words with equal Gauss diagrams differ only by virtual rerouting;
     # normalising both to the canonical word of the shared diagram settles
@@ -639,16 +657,12 @@ def equivalent(u: BraidWord, v: BraidWord, budget: Budget | None = None) -> Verd
             raise AssertionError("normalisation produced a trace that does not replay")
         return Equivalent(trace)
 
-    max_len = budget.resolve_max_len(len(u), len(v))
-    found = bidirectional_search(
-        encode_letters(ur.letters), encode_letters(vr.letters),
-        _rewrite_rules(u.n), max_nodes=budget.nodes, max_len=max_len,
-        max_moves=budget.max_moves)
-    if isinstance(found, list):
-        mid = tuple(TraceStep(label, p, decode_letters(pat), decode_letters(rep))
-                    for label, p, pat, rep in found)
-        trace = trace_u + mid + tail
-        if replay_trace(u, trace).letters != v.letters:
-            raise AssertionError("search produced a trace that does not replay")
-        return Equivalent(trace)
-    return Unknown(*found)
+    found = _word_search(ur.letters, vr.letters, _rewrite_rules(u.n),
+                         budget.resolve_max_len(len(u), len(v)), budget.nodes,
+                         moves_left)
+    if isinstance(found, SearchStats):
+        return Unknown(*found)
+    trace = trace_u + found + tail
+    if replay_trace(u, trace).letters != v.letters:
+        raise AssertionError("search produced a trace that does not replay")
+    return Equivalent(trace)

@@ -32,6 +32,8 @@ def test_equiv_exit_codes():
     code, out = run(["equiv", "--n", "3", "s1 t2", "r1 s1 r1 t2",
                      "--budget", "3000"])
     assert code == 4 and out.startswith("unknown")
+    code, out = run(["equiv", "--n", "70", "t69 s69", "s69 t69"])
+    assert code == 0 and out == "equivalent: 1 moves\n"
 
 
 def test_equiv_json_trace():
@@ -54,6 +56,10 @@ def test_gauss_roundtrip_through_cli():
     code, out = run(["from-gauss", json.dumps(diagram)])
     assert code == 0
     assert out == "s1 t2\n"
+    code, out = run(["to-gauss", "--n", "3", "s1 t2 s2'"])
+    assert code == 0
+    assert out == ("n: 3\narrow: 1 -> 2 +\narrow: 1 -> 3 s\n"
+                   "arrow: 1 -> 3 -\nperm: [2, 1, 3]\n")
 
 
 def test_from_gauss_bad_json_is_domain_error():
@@ -124,6 +130,11 @@ def test_error_exit_codes():
     assert code == 2
     code, out = run(["equiv", "--n", "2", "s1", "s1", "--budget", "0"])
     assert code == 1
+    # search limits belong to equiv only
+    code, out = run(["verify", "relations", "--n", "3", "--budget", "1"])
+    assert code == 2
+    code, out = run(["verify", "relations", "--n", "3", "--max-len", "1"])
+    assert code == 2
 
 
 def test_output_is_deterministic():

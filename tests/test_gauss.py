@@ -117,6 +117,14 @@ def test_omega_cancels_opposite_pair():
     assert len(v.trace) == 1
 
 
+def test_omega_equivalent_at_many_strands():
+    g = GaussWord(300, (Arrow(1, 300, ArrowKind.POS), Arrow(1, 300, ArrowKind.NEG)))
+    # max_len=2 rules out insertions, which would number 300*299*6 here
+    v = omega_equivalent(g, GaussWord(300), Budget(max_len=2))
+    assert isinstance(v, Equivalent)
+    assert replay_omega_trace(g, v.trace) == GaussWord(300)
+
+
 def test_dict_roundtrip():
     rng = random.Random(43)
     for _ in range(50):
