@@ -39,14 +39,26 @@ print(f"s1 vs s1': distinct, separated by {verdict.invariant} "
       f"({verdict.left} vs {verdict.right})")
 print()
 
-# same cheap invariants on both sides, yet the diagrams differ; a bounded
-# search cannot certify either answer
+# same cheap invariants on both sides, yet the diagrams differ; the
+# virtual Burau matrix tells them apart without a search
 u = parse_word("s1 t2", 3)
 v = parse_word("r1 s1 r1 t2", 3)
 verdict = equivalent(u, v, Budget(nodes=5000))
+assert isinstance(verdict, Distinct) and verdict.invariant == "burau"
+print(f"{print_word(u)} vs {print_word(v)}: distinct, burau matrices differ "
+      f"at (row, col) {verdict.left[:2]}")
+print()
+
+# equivalent, but a small node budget cannot certify it
+u = parse_word("t1 s1 s1 s3 s1 t3", 4)
+v = parse_word("s1 s1 t1 t3 s1 s3", 4)
+verdict = equivalent(u, v, Budget(nodes=2000))
 assert isinstance(verdict, Unknown)
 print(f"{print_word(u)} vs {print_word(v)}: unknown after exploring "
       f"{verdict.nodes_explored} states")
+verdict = equivalent(u, v)
+assert isinstance(verdict, Equivalent)
+print(f"  with the default budget: certified by {len(verdict.trace)} moves")
 print()
 
 # a long detour: conjugating a crossing through virtual letters

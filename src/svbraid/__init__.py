@@ -24,6 +24,7 @@ from .pure import (
     reassemble_factorization, reassemble_pair, semidirect_multiply,
     sp_relation_instances, tau_of_permutation, verify_sp_relations,
 )
+from .rep import burau
 from .surface import (
     RibbonGraph, SurfaceSummary, boundary_components, euler_by_traversal,
     euler_characteristic, genus, ribbon_of_braid, summary_to_dict,

@@ -605,10 +605,13 @@ def _diagram_normal_trace(w: BraidWord, budget: Budget):
 def equivalent(u: BraidWord, v: BraidWord, budget: Budget | None = None) -> Verdict:
     """Three-valued word problem.
 
-    Distinct needs a separating invariant; Equivalent carries a trace that
-    replays from u to v letter for letter; anything the bounded search
-    cannot settle is Unknown.  Both inputs are freely reduced first (those
-    deletions are themselves relation applications, so they join the trace).
+    Distinct needs a separating invariant: theta, singularity_count,
+    degree, pair_invariants, then the ``rep.burau`` matrix, reported by its
+    first differing entry as (row, col, value) on each side.  Equivalent
+    carries a trace that replays from u to v letter for letter; anything the
+    bounded search cannot settle is Unknown.  Both inputs are freely reduced
+    first (those deletions are themselves relation applications, so they
+    join the trace).
     """
     if u.n != v.n:
         raise ValueError("strand counts differ")
@@ -616,6 +619,7 @@ def equivalent(u: BraidWord, v: BraidWord, budget: Budget | None = None) -> Verd
         budget = Budget()
 
     from . import gauss
+    from .rep import burau
 
     for name, fn in (("theta", theta), ("singularity_count", singularity_count),
                      ("degree", degree)):
@@ -626,6 +630,12 @@ def equivalent(u: BraidWord, v: BraidWord, budget: Budget | None = None) -> Verd
     pv = gauss.pair_invariants(gauss.gauss_of_braid(v))
     if pu != pv:
         return Distinct("pair_invariants", pu, pv)
+    mu, mv = burau(u), burau(v)
+    if mu != mv:
+        # the first differing entry, 1-based like strand slots
+        r, c = next((r, c) for r in range(u.n) for c in range(u.n)
+                    if mu[r][c] != mv[r][c])
+        return Distinct("burau", (r + 1, c + 1, mu[r][c]), (r + 1, c + 1, mv[r][c]))
 
     ur, trace_u = free_reduce_trace(u)
     vr, trace_v = free_reduce_trace(v)

@@ -1,6 +1,7 @@
 import json
 
 from svbraid.cli import run
+from svbraid.rep import P
 
 
 def test_parse_echoes_normal_spelling():
@@ -28,10 +29,17 @@ def test_equiv_exit_codes():
     assert code == 0 and out.startswith("equivalent")
     code, out = run(["equiv", "--n", "2", "s1", "s1'"])
     assert code == 3 and out.startswith("distinct")
-    # same invariants, genuinely different diagrams: bounded search gives up
+    # same cheap invariants, different diagrams: separated by the burau screen
     code, out = run(["equiv", "--n", "3", "s1 t2", "r1 s1 r1 t2",
                      "--budget", "3000"])
+    assert code == 3 and out.startswith("distinct: burau")
+    # equivalent by construction, but beyond a 3000-node search
+    code, out = run(["equiv", "--n", "4", "t1 s1 s1 s3 s1 t3",
+                     "s1 s1 t1 t3 s1 s3", "--budget", "3000"])
     assert code == 4 and out.startswith("unknown")
+    code, out = run(["equiv", "--n", "4", "t1 s1 s1 s3 s1 t3",
+                     "s1 s1 t1 t3 s1 s3"])
+    assert code == 0 and out == "equivalent: 5 moves\n"
     code, out = run(["equiv", "--n", "70", "t69 s69", "s69 t69"])
     assert code == 0 and out == "equivalent: 1 moves\n"
 
@@ -43,6 +51,17 @@ def test_equiv_json_trace():
     assert payload["verdict"] == "equivalent"
     assert payload["moves"] == 1
     assert payload["trace"][0]["label"] == "S3"
+
+
+def test_equiv_burau_payload_is_one_entry():
+    argv = ["equiv", "--n", "3", "s1 t2", "r1 s1 r1 t2"]
+    code, out = run(argv)
+    assert code == 3
+    assert out == f"distinct: burau (1, 1, {P - 2}) != (1, 1, 0)\n"
+    code, out = run(argv + ["--format", "json"])
+    assert code == 3
+    assert json.loads(out) == {"verdict": "distinct", "invariant": "burau",
+                               "left": f"(1, 1, {P - 2})", "right": "(1, 1, 0)"}
 
 
 def test_gauss_roundtrip_through_cli():

@@ -1,0 +1,50 @@
+from hypothesis import given, settings, strategies as st
+
+import svbraid.words as words
+from svbraid import (BraidWord, Distinct, Generator, Kind, burau, equivalent,
+                     parse_word, relation_catalog, rewrite_neighbors)
+from svbraid.rep import P
+
+
+def test_catalog_relations_preserve_burau():
+    for n in range(2, 8):
+        for inst in relation_catalog(n):
+            assert burau(inst.lhs) == burau(inst.rhs), (n, inst)
+
+
+def test_burau_of_small_words():
+    assert burau(BraidWord(3)) == ((1, 0, 0), (0, 1, 0), (0, 0, 1))
+    assert burau(parse_word("r2", 3)) == ((1, 0, 0), (0, 0, 1), (0, 1, 0))
+    assert burau(parse_word("s1", 2)) == ((P - 2, 3), (1, 0))
+    assert burau(parse_word("s1 s1'", 2)) == burau(BraidWord(2))
+
+
+@st.composite
+def _words(draw, max_n=5, max_len=8):
+    n = draw(st.integers(2, max_n))
+    letters = draw(st.lists(st.tuples(st.sampled_from(list(Kind)),
+                                      st.integers(1, n - 1)), max_size=max_len))
+    return BraidWord(n, tuple(Generator(k, i) for k, i in letters))
+
+
+@settings(max_examples=60, deadline=None)
+@given(_words(), st.lists(st.integers(min_value=0), min_size=1, max_size=6))
+def test_random_rewrites_preserve_burau(w, picks):
+    start = burau(w)
+    for pick in picks:
+        moves = rewrite_neighbors(w, len(w) + 2)
+        _, w = moves[pick % len(moves)]
+        assert burau(w) == start
+
+
+def test_burau_screen_settles_without_search(monkeypatch):
+    def no_search(*args, **kwargs):
+        raise AssertionError("search ran")
+
+    monkeypatch.setattr(words, "_word_search", no_search)
+    u, v = parse_word("s1 t2", 3), parse_word("r1 s1 r1 t2", 3)
+    verdict = equivalent(u, v)
+    assert isinstance(verdict, Distinct) and verdict.invariant == "burau"
+    (r, c, a), (r2, c2, b) = verdict.left, verdict.right
+    assert (r, c) == (r2, c2) and a != b
+    assert burau(u)[r - 1][c - 1] == a and burau(v)[r - 1][c - 1] == b

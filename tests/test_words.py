@@ -231,11 +231,18 @@ def test_equivalent_traces_replay():
 
 
 def test_equivalent_unknown_reports_effort():
-    u = parse_word("s1 t2", 3)
-    v = parse_word("r1 s1 r1 t2", 3)
+    # equivalent by construction, but beyond a 2000-node search
+    u = parse_word("t1 s1 s1 s3 s1 t3", 4)
+    v = parse_word("s1 s1 t1 t3 s1 s3", 4)
     verdict = equivalent(u, v, Budget(nodes=2000))
     assert isinstance(verdict, Unknown)
     assert verdict.nodes_explored > 0
+    verdict = equivalent(u, v)
+    assert isinstance(verdict, Equivalent) and len(verdict.trace) == 5
+    # same cheap invariants, different diagrams: the burau screen separates them
+    verdict = equivalent(parse_word("s1 t2", 3), parse_word("r1 s1 r1 t2", 3),
+                         Budget(nodes=2000))
+    assert isinstance(verdict, Distinct) and verdict.invariant == "burau"
 
 
 def test_budget_validation():
