@@ -4,7 +4,7 @@ from .words import (
     BraidWord, Budget, Distinct, Equivalent, Generator, IndexRangeError, Kind,
     ParseError, RelationInstance, TraceStep, Unknown, Verdict, compose_perms,
     concat, degree, equivalent, free_reduce, free_reduce_trace, identity_perm,
-    inverse_word, invert_perm, invert_step, parse_word, print_word,
+    inverse_word, invert_perm, invert_step, mirror, parse_word, print_word,
     relation_catalog, replay_trace, rewrite_neighbors, rho, sigma,
     singularity_count, tau, theta, virtual_word_of_perm,
 )

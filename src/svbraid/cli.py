@@ -98,6 +98,13 @@ def _cmd_invariants(args) -> tuple[int, str]:
     return 0, _emit(args.format, payload, text)
 
 
+def _json_value(value):
+    """An invariant as JSON: pair invariants as [i, j, writhe, singular] rows."""
+    if isinstance(value, dict):
+        return [[i, j, w, s] for (i, j), (w, s) in value.items()]
+    return value
+
+
 def _cmd_equiv(args) -> tuple[int, str]:
     u = parse_word(args.left, args.n)
     v = parse_word(args.right, args.n)
@@ -110,7 +117,7 @@ def _cmd_equiv(args) -> tuple[int, str]:
                         f"equivalent: {len(verdict.trace)} moves\n")
     if isinstance(verdict, Distinct):
         payload = {"verdict": "distinct", "invariant": verdict.invariant,
-                   "left": str(verdict.left), "right": str(verdict.right)}
+                   "left": _json_value(verdict.left), "right": _json_value(verdict.right)}
         text = (f"distinct: {verdict.invariant} "
                 f"{verdict.left} != {verdict.right}\n")
         return 3, _emit(args.format, payload, text)

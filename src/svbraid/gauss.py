@@ -22,13 +22,16 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import IntEnum
+from functools import lru_cache
+from itertools import permutations
 from typing import Iterable, NamedTuple
 
+from .rep import burau_screen
 from .search import SearchStats, bidirectional_search
 from .words import (
     BraidWord, Budget, Distinct, Equivalent, Kind, TraceStep, Unknown, Verdict,
     apply_step, identity_perm, invert_perm, compose_perms, is_perm, invert_step,
-    rho, sigma, tau, virtual_word_of_perm,
+    mirror, relation_catalog, rho, sigma, tau, virtual_word_of_perm,
 )
 
 
@@ -84,10 +87,7 @@ def gauss_of_braid(w: BraidWord) -> GaussWord:
         elif g.kind == Kind.SING:
             arrows.append(Arrow(a, b, ArrowKind.SING))
         pos[i], pos[i + 1] = b, a
-    out = [0] * w.n
-    for slot, strand in enumerate(pos):
-        out[strand - 1] = slot + 1
-    return GaussWord(w.n, tuple(arrows), tuple(out))
+    return GaussWord(w.n, tuple(arrows), invert_perm(tuple(pos)))
 
 
 def braid_of_gauss(g: GaussWord) -> BraidWord:
@@ -113,10 +113,7 @@ def braid_of_gauss(g: GaussWord) -> BraidWord:
             letters.append(sigma(i) if ar.kind == ArrowKind.POS else tau(i))
         pos[i - 1], pos[i] = pos[i], pos[i - 1]
 
-    cur = [0] * g.n
-    for slot, strand in enumerate(pos):
-        cur[strand - 1] = slot + 1
-    residual = compose_perms(invert_perm(tuple(cur)), g.perm)
+    residual = compose_perms(tuple(pos), g.perm)
     tail = virtual_word_of_perm(residual)
     return BraidWord(g.n, tuple(letters) + tail.letters)
 
@@ -188,58 +185,84 @@ def canonical_form(g: GaussWord) -> GaussWord:
 
 # --- omega moves --------------------------------------------------------
 
-_SIGNED = (ArrowKind.POS, ArrowKind.NEG)
+_SHAPE_LABELS = {"R2": "O2", "R3": "O3", "S3": "SO2", "S4": "SO3"}
+
+
+def _normalised(*sides: tuple[Arrow, ...]):
+    """``sides`` with strands renamed 1, 2, ... in order of first appearance
+    across them, and the strands in that order."""
+    seen: dict[int, int] = {}
+    renamed = tuple(tuple(Arrow(seen.setdefault(a.tail, len(seen) + 1),
+                                seen.setdefault(a.head, len(seen) + 1), a.kind)
+                          for a in side) for side in sides)
+    return renamed, tuple(seen)
+
+
+def _place(shape: tuple[Arrow, ...], strands) -> tuple[Arrow, ...]:
+    return tuple(Arrow(strands[a.tail - 1], strands[a.head - 1], a.kind) for a in shape)
+
+
+def placements(before: tuple[Arrow, ...], after: tuple[Arrow, ...], n: int):
+    """Both sides of a shape on strands 1..m, placed together on every
+    ordered choice of m distinct strands of 1..n."""
+    m = len(_normalised(before, after)[1])
+    return [(_place(before, chosen), _place(after, chosen))
+            for chosen in permutations(range(1, n + 1), m)]
+
+
+@lru_cache(maxsize=None)
+def move_shapes() -> tuple[tuple[str, tuple[Arrow, ...], tuple[Arrow, ...]], ...]:
+    """The omega moves as ``(label, before, after)``: the Gauss diagrams of
+    both sides of each R2, R3, S3 and S4 instance of ``relation_catalog(3)``
+    and of its mirror, labelled O2, O3, SO2 and SO3, with strands renamed in
+    order of first appearance (so instances at other slots coincide)."""
+    shapes: dict = {}
+    for family, lhs, rhs in relation_catalog(3):
+        for u, v in ((lhs, rhs), (mirror(lhs), mirror(rhs))):
+            if family in _SHAPE_LABELS:
+                sides, _ = _normalised(gauss_of_braid(u).arrows, gauss_of_braid(v).arrows)
+                shapes[(_SHAPE_LABELS[family], *sides)] = None
+    return tuple(shapes)
+
+
+@lru_cache(maxsize=None)
+def _moves_from() -> dict[tuple[Arrow, ...], list[tuple[str, tuple[Arrow, ...]]]]:
+    """``move_shapes`` in both directions, keyed by the side they replace,
+    whose strands are renamed in order of first appearance."""
+    table: dict = {}
+    for label, lhs, rhs in move_shapes():
+        for sides in ((lhs, rhs), (rhs, lhs)):
+            (before, after), _ = _normalised(*sides)
+            table.setdefault(before, []).append((label, after))
+    return table
 
 
 def _omega_moves(arrows: tuple[Arrow, ...], n: int, max_arrows: int):
-    """Single omega moves in a fixed order: O2 cancellations, O2 insertions,
-    O3 triangle slides (either orientation), SO2 and SO3 singular slides,
-    then disjoint-support swaps."""
+    """Single omega moves in a fixed order, as (label, position, before,
+    after, resulting arrows): each ``move_shapes`` shape, in either
+    direction, at every window of arrows it matches under a renaming of
+    strands; then a side with nothing before it inserted at every position
+    on every ordered choice of strands; then disjoint-support swaps.  Each
+    move is a catalog relation or its mirror read on diagrams, so it is sound."""
     moves = []
     k = len(arrows)
-    for p in range(k - 1):
-        a, b = arrows[p], arrows[p + 1]
-        if a.tail == b.tail and a.head == b.head and \
-                {a.kind, b.kind} == {ArrowKind.POS, ArrowKind.NEG}:
-            moves.append(("O2", p, (a, b), ()))
-    if k + 2 <= max_arrows:
-        for p in range(k + 1):
-            for t in range(1, n + 1):
-                for h in range(1, n + 1):
-                    if t == h:
-                        continue
-                    for e in _SIGNED:
-                        other = ArrowKind.NEG if e == ArrowKind.POS else ArrowKind.POS
-                        moves.append(("O2", p, (), (Arrow(t, h, e), Arrow(t, h, other))))
-    for p in range(k - 2):
-        x, y, z = arrows[p:p + 3]
-        if x.kind in _SIGNED and y.kind in _SIGNED and z.kind in _SIGNED:
-            fwd = x.tail == y.tail and x.head == z.tail and y.head == z.head
-            bwd = x.head == y.head and y.tail == z.tail and x.tail == z.head
-            if fwd or bwd:
-                moves.append(("O3", p, (x, y, z), (z, y, x)))
-    for p in range(k - 1):
-        x, y = arrows[p], arrows[p + 1]
-        if y.tail == x.head and y.head == x.tail:
-            if x.kind == ArrowKind.SING and y.kind in _SIGNED:
-                moves.append(("SO2", p, (x, y),
-                              (Arrow(x.tail, x.head, y.kind), Arrow(y.tail, y.head, ArrowKind.SING))))
-            elif x.kind in _SIGNED and y.kind == ArrowKind.SING:
-                moves.append(("SO2", p, (x, y),
-                              (Arrow(x.tail, x.head, ArrowKind.SING), Arrow(y.tail, y.head, x.kind))))
-    for p in range(k - 2):
-        x, y, z = arrows[p:p + 3]
-        fwd = (x.kind == ArrowKind.SING and y.kind in _SIGNED and y.kind == z.kind
-               and y.tail == z.tail and x.tail == z.head and x.head == y.head)
-        bwd = (z.kind == ArrowKind.SING and x.kind in _SIGNED and x.kind == y.kind
-               and x.tail == y.tail and z.tail == x.head and z.head == y.head)
-        if fwd or bwd:
-            moves.append(("SO3", p, (x, y, z), (z, y, x)))
+    table = _moves_from()
+    for size in sorted({len(before) for before in table} - {0}):
+        for p in range(k - size + 1):
+            (key,), strands = _normalised(arrows[p:p + size])
+            for label, after in table.get(key, ()):
+                if k - size + len(after) <= max_arrows:
+                    moves.append((label, p, arrows[p:p + size], _place(after, strands)))
+    for label, after in table.get((), ()):
+        if k + len(after) <= max_arrows:
+            for _, new in placements((), after, n):
+                moves += [(label, p, (), new) for p in range(k + 1)]
     for p in range(k - 1):
         a, b = arrows[p], arrows[p + 1]
         if _support_disjoint(a, b):
             moves.append(("swap", p, (a, b), (b, a)))
-    return moves
+    return [(label, p, before, after, arrows[:p] + after + arrows[p + len(before):])
+            for label, p, before, after in moves]
 
 
 def omega_neighbors(g: GaussWord, max_arrows: int | None = None) -> tuple[tuple[TraceStep, GaussWord], ...]:
@@ -247,13 +270,7 @@ def omega_neighbors(g: GaussWord, max_arrows: int | None = None) -> tuple[tuple[
     (defaults to two more than the current size)."""
     cap = max_arrows if max_arrows is not None else len(g.arrows) + 2
     return tuple((TraceStep(*move), GaussWord(g.n, child, g.perm))
-                 for *move, child in _arrow_neighbors(g.arrows, g.n, cap))
-
-
-def _arrow_neighbors(arrows: tuple[Arrow, ...], n: int, max_arrows: int):
-    """Search neighbours of an arrow tuple, which is itself the search state."""
-    return [(label, p, before, after, arrows[:p] + after + arrows[p + len(before):])
-            for label, p, before, after in _omega_moves(arrows, n, max_arrows)]
+                 for *move, child in _omega_moves(g.arrows, g.n, cap))
 
 
 def replay_omega_trace(g: GaussWord, trace: Iterable[TraceStep]) -> GaussWord:
@@ -266,7 +283,8 @@ def replay_omega_trace(g: GaussWord, trace: Iterable[TraceStep]) -> GaussWord:
 def omega_equivalent(g: GaussWord, h: GaussWord, budget: Budget | None = None) -> Verdict:
     """Three-valued omega-move equivalence of diagrams, same shape as the
     word problem: invariant screen, then commutation-only canonicalisation,
-    then bounded bidirectional search over single moves."""
+    then the ``rep.burau`` matrices of the sections, then bounded
+    bidirectional search over single moves."""
     if g.n != h.n:
         raise ValueError("strand counts differ")
     if budget is None:
@@ -283,10 +301,13 @@ def omega_equivalent(g: GaussWord, h: GaussWord, budget: Budget | None = None) -
         trace = trace_g + tuple(invert_step(s) for s in reversed(trace_h))
         if budget.max_moves is None or len(trace) <= budget.max_moves:
             return Equivalent(trace)
+    distinct = burau_screen(braid_of_gauss(g), braid_of_gauss(h))
+    if distinct is not None:
+        return distinct
 
     max_arrows = budget.resolve_max_len(len(g.arrows), len(h.arrows))
     found = bidirectional_search(
-        g.arrows, h.arrows, lambda state: _arrow_neighbors(state, g.n, max_arrows),
+        g.arrows, h.arrows, lambda state: _omega_moves(state, g.n, max_arrows),
         max_nodes=budget.nodes, max_moves=budget.max_moves)
     if isinstance(found, SearchStats):
         return Unknown(*found)

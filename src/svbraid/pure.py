@@ -22,12 +22,12 @@ from typing import Iterable, NamedTuple
 
 from .words import (
     BraidWord, Budget, Equivalent, Kind, Perm, Verdict, compose_perms, concat,
-    identity_perm, inverse_word, invert_perm, is_perm, theta,
+    identity_perm, inverse_word, invert_perm, is_perm, tau, theta,
     virtual_word_of_perm,
 )
 from .gauss import (
-    Arrow, ArrowKind, GaussWord, braid_of_gauss, gauss_of_braid,
-    omega_equivalent,
+    Arrow, ArrowKind, GaussWord, braid_of_gauss, gauss_of_braid, move_shapes,
+    omega_equivalent, placements,
 )
 
 
@@ -195,61 +195,29 @@ class SPReport:
                      if not isinstance(c.verdict, Equivalent))
 
 
-def sp_relation_instances(n: int) -> tuple[tuple[str, PureWord, PureWord], ...]:
-    """All defining-relation instances of the pure monoid at strand count n:
+_SP_FAMILIES = {"O2": "SP1", "O3": "SP2", "SO2": "SP4", "SO3": "SP5"}
 
-      SP1  X(i,j,e) X(i,j,-e) = empty
-      SP2  X(i,j,e) X(i,k,e) X(j,k,e) = X(j,k,e) X(i,k,e) X(i,j,e)
-      SP3  g h = h g for letters with disjoint strand supports
-      SP4  Y(i,j) X(j,i,e) = X(i,j,e) Y(j,i)
-      SP5  Y(j,k) X(i,k,e) X(i,j,e) = X(i,j,e) X(i,k,e) Y(j,k)
+
+def sp_relation_instances(n: int) -> tuple[tuple[str, PureWord, PureWord], ...]:
+    """All defining-relation instances of the pure monoid at strand count n.
+
+    SP1, SP2, SP4 and SP5 are the ``gauss.move_shapes`` of R2, R3, S3 and S4
+    (each with its mirror) read as pure words, in the catalog's direction,
+    on every ordered choice of strands; SP4, for one, is both
+    Y(i,j) X(j,i,+) = X(i,j,+) Y(j,i) and X(i,j,-) Y(i,j) = Y(j,i) X(j,i,-).
+    SP3 commutes letters with disjoint strand supports.
     """
     if n < 2:
         raise ValueError(f"need at least two strands, got {n}")
+    out = [(_SP_FAMILIES[label], PureWord(n, lhs), PureWord(n, rhs))
+           for label, before, after in move_shapes()
+           for lhs, rhs in placements(before, after, n)]
     strands = range(1, n + 1)
-    out = []
-
-    def inst(family, lhs, rhs):
-        out.append((family, PureWord(n, tuple(lhs)), PureWord(n, tuple(rhs))))
-
-    for i in strands:
-        for j in strands:
-            if i == j:
-                continue
-            for e in (1, -1):
-                inst("SP1", [X(i, j, e), X(i, j, -e)], [])
-    for i in strands:
-        for j in strands:
-            for k in strands:
-                if len({i, j, k}) < 3:
-                    continue
-                for e in (1, -1):
-                    inst("SP2",
-                         [X(i, j, e), X(i, k, e), X(j, k, e)],
-                         [X(j, k, e), X(i, k, e), X(i, j, e)])
     letters = [X(i, j, e) for i in strands for j in strands if i != j
                for e in (1, -1)]
     letters += [Y(i, j) for i in strands for j in strands if i != j]
-    for a in letters:
-        for b in letters:
-            if a <= b or ({a.i, a.j} & {b.i, b.j}):
-                continue
-            inst("SP3", [a, b], [b, a])
-    for i in strands:
-        for j in strands:
-            if i == j:
-                continue
-            for e in (1, -1):
-                inst("SP4", [Y(i, j), X(j, i, e)], [X(i, j, e), Y(j, i)])
-    for i in strands:
-        for j in strands:
-            for k in strands:
-                if len({i, j, k}) < 3:
-                    continue
-                for e in (1, -1):
-                    inst("SP5",
-                         [Y(j, k), X(i, k, e), X(i, j, e)],
-                         [X(i, j, e), X(i, k, e), Y(j, k)])
+    out += [("SP3", PureWord(n, (a, b)), PureWord(n, (b, a)))
+            for a in letters for b in letters if a > b and not {a.i, a.j} & {b.i, b.j}]
     return tuple(out)
 
 
@@ -297,10 +265,9 @@ def factor_singular(w: BraidWord) -> SingularFactorization:
 
 
 def reassemble_factorization(f: SingularFactorization) -> BraidWord:
-    from .words import tau as tau_letter
     parts = []
     for c, i in f.conjugated_taus:
-        parts.append(concat(c, BraidWord(f.n, (tau_letter(i),)), inverse_word(c)))
+        parts.append(concat(c, BraidWord(f.n, (tau(i),)), inverse_word(c)))
     parts.append(f.virtual_part)
     return concat(BraidWord(f.n), *parts)
 

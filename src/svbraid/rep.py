@@ -20,7 +20,7 @@ differ as Laurent matrices and are not equivalent.
 
 from __future__ import annotations
 
-from .words import BraidWord, Kind
+from .words import BraidWord, Distinct, Kind
 
 P = (1 << 61) - 1
 T = 3
@@ -50,3 +50,14 @@ def burau(w: BraidWord) -> tuple[tuple[int, ...], ...]:
         cols[i] = [(a * xr + c * yr) % P for xr, yr in zip(x, y)]
         cols[i + 1] = [(b * xr + d * yr) % P for xr, yr in zip(x, y)]
     return tuple(zip(*cols))
+
+
+def burau_screen(u: BraidWord, v: BraidWord) -> Distinct | None:
+    """``Distinct("burau", (row, col, a), (row, col, b))`` at the first entry
+    (1-based) where the matrices of u and v differ, or None."""
+    mu, mv = burau(u), burau(v)
+    if mu == mv:
+        return None
+    r, c = next((r, c) for r in range(u.n) for c in range(u.n)
+                if mu[r][c] != mv[r][c])
+    return Distinct("burau", (r + 1, c + 1, mu[r][c]), (r + 1, c + 1, mv[r][c]))

@@ -109,22 +109,23 @@ def concat(*words: BraidWord) -> BraidWord:
     return BraidWord(n, letters)
 
 
-def inverse_word(w: BraidWord) -> BraidWord:
-    """Reversed word with s <-> s' swapped; r is its own inverse.
+_MIRROR_KIND = {Kind.POS: Kind.NEG, Kind.NEG: Kind.POS}
 
-    Singular letters have no inverse in the monoid and are rejected.
-    """
-    out = []
-    for g in reversed(w.letters):
-        if g.kind == Kind.POS:
-            out.append(sigma(g.index, -1))
-        elif g.kind == Kind.NEG:
-            out.append(sigma(g.index))
-        elif g.kind == Kind.VIRT:
-            out.append(rho(g.index))
-        else:
-            raise ValueError("singular letters are not invertible")
-    return BraidWord(w.n, tuple(out))
+
+def mirror(w: BraidWord) -> BraidWord:
+    """Reversed word with s <-> s' swapped and r, t kept: an anti-automorphism
+    of the monoid, so it sends each defining relation to a consequence of the
+    catalog."""
+    return BraidWord(w.n, tuple(Generator(_MIRROR_KIND.get(g.kind, g.kind), g.index)
+                                for g in reversed(w.letters)))
+
+
+def inverse_word(w: BraidWord) -> BraidWord:
+    """The mirror, which is the inverse of a word without singular letters;
+    singular letters have no inverse in the monoid and are rejected."""
+    if any(g.kind == Kind.SING for g in w.letters):
+        raise ValueError("singular letters are not invertible")
+    return mirror(w)
 
 
 # --- text form ---------------------------------------------------------
@@ -212,10 +213,7 @@ def theta(w: BraidWord) -> Perm:
     for g in w.letters:
         i = g.index - 1
         pos[i], pos[i + 1] = pos[i + 1], pos[i]
-    out = [0] * w.n
-    for slot, strand in enumerate(pos):
-        out[strand - 1] = slot + 1
-    return tuple(out)
+    return invert_perm(tuple(pos))
 
 
 def virtual_word_of_perm(p: Perm) -> BraidWord:
@@ -375,10 +373,9 @@ def free_reduce_trace(w: BraidWord) -> tuple[BraidWord, tuple[TraceStep, ...]]:
 
 
 def _cancels(a: Generator, b: Generator) -> bool:
-    if a.index != b.index:
-        return False
-    kinds = (a.kind, b.kind)
-    return kinds in ((Kind.POS, Kind.NEG), (Kind.NEG, Kind.POS), (Kind.VIRT, Kind.VIRT))
+    """b is the mirror of a, which is its inverse unless a is singular."""
+    return a.index == b.index and a.kind != Kind.SING and \
+        b.kind == _MIRROR_KIND.get(a.kind, a.kind)
 
 
 # Each letter packs into one character, code point 4*(index-1) + kind, so
@@ -619,7 +616,7 @@ def equivalent(u: BraidWord, v: BraidWord, budget: Budget | None = None) -> Verd
         budget = Budget()
 
     from . import gauss
-    from .rep import burau
+    from .rep import burau_screen
 
     for name, fn in (("theta", theta), ("singularity_count", singularity_count),
                      ("degree", degree)):
@@ -630,12 +627,9 @@ def equivalent(u: BraidWord, v: BraidWord, budget: Budget | None = None) -> Verd
     pv = gauss.pair_invariants(gauss.gauss_of_braid(v))
     if pu != pv:
         return Distinct("pair_invariants", pu, pv)
-    mu, mv = burau(u), burau(v)
-    if mu != mv:
-        # the first differing entry, 1-based like strand slots
-        r, c = next((r, c) for r in range(u.n) for c in range(u.n)
-                    if mu[r][c] != mv[r][c])
-        return Distinct("burau", (r + 1, c + 1, mu[r][c]), (r + 1, c + 1, mv[r][c]))
+    distinct = burau_screen(u, v)
+    if distinct is not None:
+        return distinct
 
     ur, trace_u = free_reduce_trace(u)
     vr, trace_v = free_reduce_trace(v)

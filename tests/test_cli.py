@@ -61,7 +61,28 @@ def test_equiv_burau_payload_is_one_entry():
     code, out = run(argv + ["--format", "json"])
     assert code == 3
     assert json.loads(out) == {"verdict": "distinct", "invariant": "burau",
-                               "left": f"(1, 1, {P - 2})", "right": "(1, 1, 0)"}
+                               "left": [1, 1, P - 2], "right": [1, 1, 0]}
+
+
+def test_equiv_json_gives_invariant_values():
+    argv = ["equiv", "--n", "3", "s1 t2", "t1 s2"]
+    code, out = run(argv)
+    assert code == 3
+    assert out == ("distinct: pair_invariants {(1, 2): (1, 0), (1, 3): (0, 1)} "
+                   "!= {(1, 2): (0, 1), (1, 3): (1, 0)}\n")
+    code, out = run(argv + ["--format", "json"])
+    assert code == 3
+    assert json.loads(out) == {"verdict": "distinct", "invariant": "pair_invariants",
+                               "left": [[1, 2, 1, 0], [1, 3, 0, 1]],
+                               "right": [[1, 2, 0, 1], [1, 3, 1, 0]]}
+    for argv, invariant, left, right in (
+            (["--n", "3", "s1", "s2"], "theta", [2, 1, 3], [1, 3, 2]),
+            (["--n", "2", "s1", "s1'"], "degree", 1, -1),
+            (["--n", "2", "t1", "s1"], "singularity_count", 1, 0)):
+        code, out = run(["equiv", *argv, "--format", "json"])
+        assert code == 3
+        assert json.loads(out) == {"verdict": "distinct", "invariant": invariant,
+                                   "left": left, "right": right}
 
 
 def test_gauss_roundtrip_through_cli():

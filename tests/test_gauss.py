@@ -110,6 +110,17 @@ def test_omega_equivalent_distinct_cases():
     assert isinstance(v, Distinct) and v.invariant == "pair_invariants"
 
 
+def test_omega_equivalent_separates_by_burau():
+    # one mixed-sign triangle slide: same pair invariants, different matrices
+    g = GaussWord(3, (Arrow(1, 2, ArrowKind.POS), Arrow(1, 3, ArrowKind.NEG),
+                      Arrow(2, 3, ArrowKind.POS)))
+    h = GaussWord(3, tuple(reversed(g.arrows)))
+    v = omega_equivalent(g, h)
+    assert isinstance(v, Distinct) and v.invariant == "burau"
+    (r, c, a), (r2, c2, b) = v.left, v.right
+    assert (r, c) == (r2, c2) and a != b
+
+
 def test_omega_cancels_opposite_pair():
     g = gauss_of_braid(parse_word("s1 s1'", 2))
     v = omega_equivalent(g, GaussWord(2))

@@ -1,8 +1,12 @@
+from itertools import permutations, product
+
 from hypothesis import given, settings, strategies as st
 
 import svbraid.words as words
-from svbraid import (BraidWord, Distinct, Generator, Kind, burau, equivalent,
-                     parse_word, relation_catalog, rewrite_neighbors)
+from svbraid import (Arrow, ArrowKind, BraidWord, Distinct, GaussWord, Generator,
+                     Kind, braid_of_gauss, burau, embed_pure_word, equivalent,
+                     omega_neighbors, parse_word, relation_catalog, rewrite_neighbors,
+                     sp_relation_instances)
 from svbraid.rep import P
 
 
@@ -48,3 +52,25 @@ def test_burau_screen_settles_without_search(monkeypatch):
     (r, c, a), (r2, c2, b) = verdict.left, verdict.right
     assert (r, c) == (r2, c2) and a != b
     assert burau(u)[r - 1][c - 1] == a and burau(v)[r - 1][c - 1] == b
+
+
+def test_omega_moves_preserve_burau():
+    # every diagram with two or three arrows at n=3; no insertions, since
+    # they are the inverses of cancellations already checked
+    arrows = [Arrow(t, h, k) for t, h in permutations(range(1, 4), 2) for k in ArrowKind]
+    moves = 0
+    for size in (2, 3):
+        for chosen in product(arrows, repeat=size):
+            g = GaussWord(3, chosen)
+            m = burau(braid_of_gauss(g))
+            for step, h in omega_neighbors(g, max_arrows=len(g)):
+                assert burau(braid_of_gauss(h)) == m, (g.arrows, step)
+                moves += 1
+    assert moves == 1380
+
+
+def test_pure_relations_preserve_burau():
+    for n in (3, 4):
+        for family, lhs, rhs in sp_relation_instances(n):
+            assert burau(embed_pure_word(lhs)) == burau(embed_pure_word(rhs)), \
+                (family, str(lhs), str(rhs))

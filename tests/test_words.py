@@ -5,7 +5,7 @@ import pytest
 from svbraid import (
     BraidWord, Budget, Distinct, Equivalent, IndexRangeError, Kind, ParseError,
     TraceStep, Unknown, compose_perms, concat, degree, equivalent, free_reduce,
-    free_reduce_trace, identity_perm, inverse_word, invert_perm, invert_step,
+    free_reduce_trace, identity_perm, inverse_word, invert_perm, invert_step, mirror,
     parse_word, print_word, relation_catalog, replay_trace, rewrite_neighbors,
     rho, sigma, singularity_count, tau, theta, virtual_word_of_perm,
 )
@@ -63,6 +63,24 @@ def test_concat_and_inverse():
         inverse_word(parse_word("t1", 2))
     with pytest.raises(ValueError):
         concat(parse_word("s1", 2), parse_word("s1", 3))
+
+
+def test_mirror_reverses_and_swaps_signs():
+    w = parse_word("s1 r2 t1 s2'", 3)
+    assert print_word(mirror(w)) == "s2 t1 r2 s1'"
+    assert mirror(mirror(w)) == w
+
+
+def test_mirrored_relations_follow_from_the_catalog():
+    # mirror is an anti-automorphism, so the mirror of each relation that
+    # the diagram moves are read from is proved from the catalog itself
+    for inst in relation_catalog(3):
+        if inst.family not in ("R2", "R3", "S3", "S4"):
+            continue
+        u, v = mirror(inst.lhs), mirror(inst.rhs)
+        verdict = equivalent(u, v, Budget(slack=6))
+        assert isinstance(verdict, Equivalent), (inst, verdict)
+        assert replay_trace(u, verdict.trace) == v
 
 
 def test_perm_helpers():
