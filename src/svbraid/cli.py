@@ -46,9 +46,10 @@ def _build_parser() -> argparse.ArgumentParser:
     add("invariants", "permutation, degree, and singularity count", words=1)
     p = add("equiv", "decide equivalence of two words", words=2)
     p.add_argument("--budget", type=int, default=None,
-                   help="search node budget (default 200000)")
+                   help="node budget of every search, normalisation "
+                   "sub-searches included (default 200000)")
     p.add_argument("--max-len", type=int, default=None,
-                   help="length cap for intermediate words")
+                   help="length cap for intermediate words of every search")
     add("to-gauss", "Gauss diagram of a word", words=1)
     p = add("from-gauss", "braid word realizing a Gauss diagram")
     p.add_argument("diagram", help="diagram as JSON: "

@@ -454,8 +454,9 @@ def _word_search(start: tuple[Generator, ...], goal: tuple[Generator, ...],
 @dataclass(frozen=True)
 class Budget:
     """Search limits: ``nodes`` caps stored states, ``slack`` extends the
-    length cap beyond max(|u|, |v|), ``max_len`` overrides that cap, and
-    ``max_moves`` bounds the total trace length."""
+    length cap beyond the longer end word, ``max_len`` overrides that cap,
+    and ``max_moves`` bounds the total trace length.  They bind every
+    search, the diagram normalisation sub-searches included."""
 
     nodes: int = 200_000
     slack: int = 4
@@ -500,68 +501,29 @@ class Unknown:
 Verdict = Equivalent | Distinct | Unknown
 
 
-def _conjugated_split(w: BraidWord):
-    """Letters of w as virtual runs around crossings: returns the crossing
-    letters, the virtual prefix before each crossing, and the full virtual
-    content."""
-    runs: list[list[Generator]] = [[]]
-    crossings: list[Generator] = []
-    for g in w.letters:
-        if g.kind == Kind.VIRT:
-            runs[-1].append(g)
-        else:
-            crossings.append(g)
-            runs.append([])
-    prefixes = []
-    acc: list[Generator] = []
-    for k, run in enumerate(runs[:-1]):
-        acc.extend(run)
-        prefixes.append(tuple(acc))
-    acc.extend(runs[-1])
-    return crossings, prefixes, tuple(acc)
-
-
 def _diagram_normal_trace(w: BraidWord, budget: Budget):
     """Trace from w to the canonical word of its Gauss diagram: the pure
     embedding of each arrow in order, then the canonical virtual tail.
 
-    Works crossing by crossing, so each search is over words with at most
-    one crossing and stays cheap.  Returns None when a sub-search fails.
+    One pass left to right.  The virtual letters met so far form a frame;
+    at each crossing the frame is straightened and the crossing slides
+    through it into its arrow's embedding ``a y b`` (the detour move), so
+    every search is over words with one crossing.  The inserted pairs
+    ``b rev(b)`` leave ``rev(b)`` in the next frame.  Every sub-search gets
+    the caller's budget.  Returns None when one fails.
     """
     from . import gauss as _gauss
 
     g = _gauss.gauss_of_braid(w)
-    crossings, prefixes, virtual_content = _conjugated_split(w)
-
-    # Conjugated form: each crossing flanked by its virtual prefix and the
-    # prefix reversed; free-reduces back to w through virtual cancellations
-    # only, so the trace out of it is mechanical.
-    conj_letters: list[Generator] = []
-    for x, c in zip(crossings, prefixes):
-        conj_letters.extend(c)
-        conj_letters.append(x)
-        conj_letters.extend(reversed(c))
-    conj_letters.extend(virtual_content)
-
-    wr, trace_w = free_reduce_trace(w)
-    cr, trace_c = free_reduce_trace(BraidWord(w.n, tuple(conj_letters)))
-    if cr.letters != wr.letters:
-        return None
-    trace = list(trace_w) + [invert_step(s) for s in reversed(trace_c)]
-
-    slack = max(budget.slack, 6)
-
-    # Sub-problems here are one-crossing words with canonical virtual
-    # flanks, so they stay small even when the caller's budget is tight;
-    # the floor covers the worst negative-crossing slide observed.
-    sub_nodes = max(budget.nodes, 800_000)
+    arrows = iter(g.arrows)
+    trace: list[TraceStep] = []
 
     def sub_search(start: tuple, goal: tuple, offset: int, families=None) -> bool:
         if start == goal:
             return True
         found = _word_search(start, goal, _rewrite_rules(w.n, families),
-                             max(len(start), len(goal)) + slack, sub_nodes,
-                             offset=offset)
+                             budget.resolve_max_len(len(start), len(goal)),
+                             budget.nodes, offset=offset)
         if isinstance(found, SearchStats):
             return False
         trace.extend(found)
@@ -574,27 +536,25 @@ def _diagram_normal_trace(w: BraidWord, budget: Budget):
 
     done = 0
     frame: tuple[Generator, ...] = ()
-    for k, (x, c) in enumerate(zip(crossings, prefixes)):
-        # straighten both virtual flanks first; the slide search then works
-        # on words of canonical length
-        left = canonical_virtual(frame + c)
-        right = canonical_virtual(tuple(reversed(c)))
-        if not sub_search(frame + c, left, done, virtual_only):
+    for x in w.letters:
+        if x.kind == Kind.VIRT:
+            frame += (x,)
+            continue
+        c = canonical_virtual(frame)
+        if not sub_search(frame, c, done, virtual_only):
             return None
-        if not sub_search(tuple(reversed(c)), right,
-                          done + len(left) + 1, virtual_only):
+        embed = _gauss.braid_of_gauss(_gauss.GaussWord(w.n, (next(arrows),))).letters
+        k = next(k for k, y in enumerate(embed) if y.kind != Kind.VIRT)
+        a, y, b = embed[:k], embed[k], embed[k + 1:]
+        m = canonical_virtual((rho(y.index),) + a[::-1] + c + (rho(x.index),))
+        if not sub_search(c + (x,), a + (y,) + m, done):
             return None
-        segment = left + (x,) + right
-        arrow = g.arrows[k]
-        target = _gauss.braid_of_gauss(_gauss.GaussWord(w.n, (arrow,)))
-        next_frame = virtual_word_of_perm(
-            theta(BraidWord(w.n, segment))).letters
-        if not sub_search(segment, target.letters + next_frame, done):
-            return None
-        done += len(target.letters)
-        frame = next_frame
-    tail = virtual_word_of_perm(g.perm).letters
-    if not sub_search(frame + virtual_content, tail, done, virtual_only):
+        done += k + 1
+        for r in b:
+            trace.append(TraceStep("V3", done, (), (r, r)))
+            done += 1
+        frame = b[::-1] + m
+    if not sub_search(frame, virtual_word_of_perm(g.perm).letters, done, virtual_only):
         return None
     return tuple(trace)
 

@@ -9,7 +9,19 @@ from svbraid import (
     parse_word, print_word, relation_catalog, replay_trace, rewrite_neighbors,
     rho, sigma, singularity_count, tau, theta, virtual_word_of_perm,
 )
+from svbraid import words
+from svbraid.gauss import braid_of_gauss, gauss_of_braid
 from svbraid.suites import random_word
+
+
+def assert_catalog_steps(n, trace):
+    """Every step rewrites one side of a catalog instance of its own
+    family into the other side."""
+    sides = {(inst.family, inst.lhs.letters, inst.rhs.letters)
+             for inst in relation_catalog(n)}
+    sides |= {(family, rhs, lhs) for family, lhs, rhs in sides}
+    for step in trace:
+        assert (step.label, step.before, step.after) in sides, step
 
 
 def test_parse_print_roundtrip():
@@ -239,6 +251,7 @@ def test_equivalent_traces_replay():
             v = equivalent(inst.lhs, inst.rhs)
             assert isinstance(v, Equivalent)
             assert replay_trace(inst.lhs, v.trace) == inst.rhs
+            assert_catalog_steps(n, v.trace)
     for _ in range(30):
         w = random_word(rng, 3, 6)
         spot = rng.randint(0, len(w)) if len(w) else 0
@@ -246,6 +259,47 @@ def test_equivalent_traces_replay():
         v = equivalent(w, padded)
         assert isinstance(v, Equivalent)
         assert replay_trace(w, v.trace) == padded
+        assert_catalog_steps(3, v.trace)
+
+
+@pytest.mark.parametrize("n, text", [
+    (3, "r2 r1 s2 r1 r2 r1"),
+    (3, "r2 r1 s2' r1 r2 r1"),
+    (3, "r2 r1 t2 r1 r2 r1"),
+    (5, "s1' s3' s3' r1 r2 s2'"),
+    (5, "s2' t3 t3 s4 s4 r1 t2 s3' t3 t4"),
+])
+def test_equal_diagrams_are_equivalent(n, text):
+    # each crossing slides through the straightened virtual letters before it
+    u = parse_word(text, n)
+    v = braid_of_gauss(gauss_of_braid(u))
+    verdict = equivalent(u, v)
+    assert isinstance(verdict, Equivalent), verdict
+    assert replay_trace(u, verdict.trace) == v
+    assert_catalog_steps(n, verdict.trace)
+
+
+def test_budget_binds_every_search(monkeypatch):
+    seen = []
+    search = words._word_search
+
+    def recording(start, goal, rules, max_len, max_nodes, *args, **kwargs):
+        seen.append((max(len(start), len(goal)), max_len, max_nodes))
+        return search(start, goal, rules, max_len, max_nodes, *args, **kwargs)
+
+    monkeypatch.setattr(words, "_word_search", recording)
+    u = parse_word("r2 r1 s2' r1 r2 r1", 3)
+    budget = Budget()
+    assert isinstance(equivalent(u, braid_of_gauss(gauss_of_braid(u)), budget),
+                      Equivalent)
+    assert len(seen) >= 2
+    for longest, max_len, max_nodes in seen:
+        assert max_nodes == budget.nodes
+        assert max_len <= longest + budget.slack
+    # the normalisation sub-searches stop at the caller's node budget too
+    u, v = parse_word("r4 t1 s3 t3 t2 r1 r2", 5), parse_word("t1 r4 s3 t3 t2 r1 r2", 5)
+    verdict = equivalent(u, v, Budget(nodes=10))
+    assert isinstance(verdict, Unknown) and verdict.nodes_explored <= 11
 
 
 def test_equivalent_unknown_reports_effort():
