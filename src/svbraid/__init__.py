@@ -22,7 +22,7 @@ from .pure import (
     decompose, embed_pure_generator, embed_pure_word, factor_singular,
     pair_from_dict, pair_to_dict, parse_pure_word, print_pure_word,
     reassemble_factorization, reassemble_pair, semidirect_multiply,
-    sp_relation_instances, tau_of_permutation, verify_sp_relations,
+    sp_relation_instances, verify_sp_relations,
 )
 from .rep import burau
 from .surface import (

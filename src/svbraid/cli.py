@@ -30,11 +30,10 @@ def _build_parser() -> argparse.ArgumentParser:
                     "diagrams, formal sums, and surfaces.")
     subs = parser.add_subparsers(dest="command", required=True)
 
-    def add(name: str, help_text: str, *, words: int = 0, n_required: bool = True):
+    def add(name: str, help_text: str, *, words: int = 0):
         p = subs.add_parser(name, help=help_text)
         if name != "from-gauss":
-            p.add_argument("--n", type=int, required=n_required,
-                           help="number of strands")
+            p.add_argument("--n", type=int, required=True, help="number of strands")
         names = () if words == 0 else ("word",) if words == 1 else ("left", "right")
         for label in names:
             p.add_argument(label, help="braid word: tokens like s1, s1', r2, t1; "

@@ -70,8 +70,10 @@ class FormalSum:
 
 DegreeSpectrum = dict[int, int]
 
+MAX_SINGULARITIES = 20
 
-def eta_hat_expansion(w: BraidWord, max_singularities: int = 20) -> Iterator[tuple[int, BraidWord]]:
+
+def eta_hat_expansion(w: BraidWord) -> Iterator[tuple[int, BraidWord]]:
     """Signed resolution branches, before any merging.
 
     Singular letters are resolved left to right, positive branch first, so
@@ -80,9 +82,9 @@ def eta_hat_expansion(w: BraidWord, max_singularities: int = 20) -> Iterator[tup
     """
     spots = [i for i, g in enumerate(w.letters) if g.kind == Kind.SING]
     d = len(spots)
-    if d > max_singularities:
+    if d > MAX_SINGULARITIES:
         raise ValueError(
-            f"{d} singular letters exceeds the expansion cap {max_singularities}")
+            f"{d} singular letters exceeds the expansion cap {MAX_SINGULARITIES}")
     base = list(w.letters)
     for bits in range(1 << d):
         letters = base[:]
@@ -94,23 +96,23 @@ def eta_hat_expansion(w: BraidWord, max_singularities: int = 20) -> Iterator[tup
         yield (-1) ** negatives, BraidWord(w.n, tuple(letters))
 
 
-def eta_hat(w: BraidWord, max_singularities: int = 20) -> FormalSum:
+def eta_hat(w: BraidWord) -> FormalSum:
     """Multiplicative extension of tau -> sigma - sigma^{-1}; classical and
     virtual letters pass through unchanged."""
     out = FormalSum(w.n)
-    for sign, word in eta_hat_expansion(w, max_singularities):
+    for sign, word in eta_hat_expansion(w):
         out.add(word, sign)
     return out
 
 
-def eta(w: BraidWord, max_singularities: int = 20) -> FormalSum:
+def eta(w: BraidWord) -> FormalSum:
     """Restriction of eta_hat to words without virtual letters."""
     for pos, g in enumerate(w.letters):
         if g.kind == Kind.VIRT:
             raise ValueError(
                 f"letter {pos + 1} is virtual; eta is defined on singular "
                 f"classical words only")
-    return eta_hat(w, max_singularities)
+    return eta_hat(w)
 
 
 def flatten(w: BraidWord) -> BraidWord:

@@ -56,17 +56,19 @@ class GaussWord:
     def __post_init__(self):
         if self.n < 1:
             raise ValueError(f"strand count must be positive, got {self.n}")
-        arrows = tuple(Arrow(t, h, ArrowKind(k)) for t, h, k in self.arrows)
-        object.__setattr__(self, "arrows", arrows)
-        perm = tuple(self.perm) if self.perm else identity_perm(self.n)
-        object.__setattr__(self, "perm", perm)
-        for a in arrows:
+        if type(self.arrows) is not tuple or type(self.perm) is not tuple:
+            raise ValueError("arrows and perm must be tuples")
+        if not self.perm:
+            object.__setattr__(self, "perm", identity_perm(self.n))
+        for a in self.arrows:
+            if type(a) is not Arrow or type(a.kind) is not ArrowKind:
+                raise ValueError(f"arrow {a!r} is not an Arrow of an ArrowKind")
             if not (1 <= a.tail <= self.n and 1 <= a.head <= self.n):
                 raise ValueError(f"arrow {a} leaves strands 1..{self.n}")
             if a.tail == a.head:
                 raise ValueError(f"arrow {a} joins a strand to itself")
-        if len(perm) != self.n or not is_perm(perm):
-            raise ValueError(f"bad strand permutation {perm}")
+        if len(self.perm) != self.n or not is_perm(self.perm):
+            raise ValueError(f"bad strand permutation {self.perm}")
 
     def __len__(self) -> int:
         return len(self.arrows)
@@ -334,10 +336,8 @@ def gauss_to_dict(g: GaussWord) -> dict:
 
 def gauss_from_dict(d: dict) -> GaussWord:
     try:
-        n = d["n"]
         arrows = tuple(Arrow(a["tail"], a["head"], _CHAR_TO_KIND[a["kind"]])
                        for a in d["arrows"])
-        perm = tuple(d["perm"])
+        return GaussWord(d["n"], arrows, tuple(d["perm"]))
     except (KeyError, TypeError) as exc:
         raise ValueError(f"malformed gauss word data: {exc}") from exc
-    return GaussWord(n, arrows, perm)

@@ -59,10 +59,11 @@ class PureWord:
     def __post_init__(self):
         if self.n < 1:
             raise ValueError(f"strand count must be positive, got {self.n}")
-        letters = tuple(PureGenerator(i, j, ArrowKind(k))
-                        for i, j, k in self.letters)
-        object.__setattr__(self, "letters", letters)
-        for g in letters:
+        if type(self.letters) is not tuple:
+            raise ValueError(f"letters must be a tuple, got {type(self.letters).__name__}")
+        for g in self.letters:
+            if type(g) is not PureGenerator or type(g.kind) is not ArrowKind:
+                raise ValueError(f"letter {g!r} is not a PureGenerator of an ArrowKind")
             if not (1 <= g.i <= self.n and 1 <= g.j <= self.n):
                 raise ValueError(f"letter {g} leaves strands 1..{self.n}")
             if g.i == g.j:
@@ -113,12 +114,6 @@ def embed_pure_word(p: PureWord) -> BraidWord:
                   *(embed_pure_generator(g, p.n) for g in p.letters))
 
 
-def tau_of_permutation(p: Perm) -> BraidWord:
-    """Virtual-only word realising p; adjacent transpositions map to single
-    virtual letters."""
-    return virtual_word_of_perm(p)
-
-
 # --- semidirect decomposition -------------------------------------------
 
 @dataclass(frozen=True)
@@ -127,8 +122,7 @@ class SemidirectPair:
     perm: Perm
 
     def __post_init__(self):
-        object.__setattr__(self, "perm", tuple(self.perm))
-        if len(self.perm) != self.pure.n or not is_perm(self.perm):
+        if type(self.perm) is not tuple or len(self.perm) != self.pure.n or not is_perm(self.perm):
             raise ValueError(f"bad permutation {self.perm} for n={self.pure.n}")
 
     @property
@@ -139,15 +133,18 @@ class SemidirectPair:
 def decompose(w: BraidWord) -> SemidirectPair:
     """Split w into its pure part (the arrows of its Gauss diagram, read as
     X/Y letters) and its strand permutation.  Reassembling as
-    embed_pure_word(pure) followed by tau_of_permutation(perm) reproduces
+    embed_pure_word(pure) followed by virtual_word_of_perm(perm) reproduces
     the Gauss diagram of w exactly."""
     g = gauss_of_braid(w)
-    letters = tuple(PureGenerator(a.tail, a.head, a.kind) for a in g.arrows)
-    return SemidirectPair(PureWord(w.n, letters), g.perm)
+    return SemidirectPair(_pure_word(w.n, g.arrows), g.perm)
+
+
+def _pure_word(n: int, arrows: Iterable[Arrow]) -> PureWord:
+    return PureWord(n, tuple(PureGenerator(*a) for a in arrows))
 
 
 def reassemble_pair(pair: SemidirectPair) -> BraidWord:
-    return concat(embed_pure_word(pair.pure), tau_of_permutation(pair.perm))
+    return concat(embed_pure_word(pair.pure), virtual_word_of_perm(pair.perm))
 
 
 def relabel_pure(p: PureWord, perm: Perm) -> PureWord:
@@ -209,7 +206,7 @@ def sp_relation_instances(n: int) -> tuple[tuple[str, PureWord, PureWord], ...]:
     """
     if n < 2:
         raise ValueError(f"need at least two strands, got {n}")
-    out = [(_SP_FAMILIES[label], PureWord(n, lhs), PureWord(n, rhs))
+    out = [(_SP_FAMILIES[label], _pure_word(n, lhs), _pure_word(n, rhs))
            for label, before, after in move_shapes()
            for lhs, rhs in placements(before, after, n)]
     strands = range(1, n + 1)

@@ -92,10 +92,10 @@ def suite_relations(n: int, seed: int = 0) -> SuiteReport:
     return SuiteReport("relations", n, seed, tuple(checks))
 
 
-def suite_gauss_roundtrip(n: int, seed: int = 0, samples: int = 200) -> SuiteReport:
+def suite_gauss_roundtrip(n: int, seed: int = 0) -> SuiteReport:
     rng = random.Random(seed)
     checks = []
-    for k in range(samples):
+    for k in range(200):
         g = random_gauss(rng, rng.randint(2, n), 8)
         back = gauss_of_braid(braid_of_gauss(g))
         ok = back == g
@@ -104,10 +104,10 @@ def suite_gauss_roundtrip(n: int, seed: int = 0, samples: int = 200) -> SuiteRep
     return SuiteReport("gauss-roundtrip", n, seed, tuple(checks))
 
 
-def suite_degree_lemma(n: int, seed: int = 0, samples: int = 500) -> SuiteReport:
+def suite_degree_lemma(n: int, seed: int = 0) -> SuiteReport:
     rng = random.Random(seed)
     checks = []
-    for k in range(samples):
+    for k in range(500):
         w = random_word(rng, rng.randint(2, n), 12)
         d = singularity_count(w)
         s = degree(w)

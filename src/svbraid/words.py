@@ -72,7 +72,8 @@ class IndexRangeError(ValueError):
 
 @dataclass(frozen=True)
 class BraidWord:
-    """Immutable word; ``n`` is the strand count, letters validate on build."""
+    """Immutable word; ``n`` is the strand count and ``letters`` a tuple of
+    ``Generator``s, validated and stored as given."""
 
     n: int
     letters: tuple[Generator, ...] = ()
@@ -80,9 +81,11 @@ class BraidWord:
     def __post_init__(self):
         if self.n < 1:
             raise ValueError(f"strand count must be positive, got {self.n}")
-        letters = tuple(Generator(Kind(k), i) for k, i in self.letters)
-        object.__setattr__(self, "letters", letters)
-        for g in letters:
+        if type(self.letters) is not tuple:
+            raise ValueError(f"letters must be a tuple, got {type(self.letters).__name__}")
+        for g in self.letters:
+            if type(g) is not Generator or type(g.kind) is not Kind:
+                raise ValueError(f"letter {g!r} is not a Generator of a Kind")
             if not 1 <= g.index <= self.n - 1:
                 raise IndexRangeError(
                     f"letter index {g.index} out of range 1..{self.n - 1} "
@@ -453,21 +456,18 @@ def _word_search(start: tuple[Generator, ...], goal: tuple[Generator, ...],
 
 @dataclass(frozen=True)
 class Budget:
-    """Search limits: ``nodes`` caps stored states, ``slack`` extends the
-    length cap beyond the longer end word, ``max_len`` overrides that cap,
+    """Search limits: ``nodes`` caps stored states, ``max_len`` caps the
+    length of intermediate words (by default the longer end word plus 4),
     and ``max_moves`` bounds the total trace length.  They bind every
     search, the diagram normalisation sub-searches included."""
 
     nodes: int = 200_000
-    slack: int = 4
     max_len: int | None = None
     max_moves: int | None = None
 
     def __post_init__(self):
         if self.nodes <= 0:
             raise ValueError("node budget must be positive")
-        if self.slack < 0:
-            raise ValueError("slack must be non-negative")
         if self.max_len is not None and self.max_len <= 0:
             raise ValueError("max_len must be positive")
         if self.max_moves is not None and self.max_moves < 0:
@@ -476,7 +476,7 @@ class Budget:
     def resolve_max_len(self, *lengths: int) -> int:
         if self.max_len is not None:
             return max(self.max_len, *lengths)
-        return max(lengths) + self.slack
+        return max(lengths) + 4
 
 
 @dataclass(frozen=True)

@@ -12,13 +12,13 @@ import time
 from svbraid import (
     BraidWord, Budget, Equivalent, Kind, X, Y, canonical_form, concat,
     decompose, degree, degree_spectrum, embed_pure_generator, equivalent,
-    eta_hat, eta_hat_expansion, factor_singular, free_reduce, gauss_of_braid,
-    braid_of_gauss, identity_perm, omega_equivalent, pair_invariants,
-    parse_word, print_word, reassemble_factorization, relation_catalog, rho,
-    semidirect_multiply, sigma, singularity_count, tau, tau_of_permutation,
-    theta, verify_sp_relations,
+    eta_hat, factor_singular, gauss_of_braid, braid_of_gauss, identity_perm,
+    omega_equivalent, pair_invariants, parse_word, print_word,
+    reassemble_factorization, relation_catalog, semidirect_multiply,
+    singularity_count, theta, verify_sp_relations, virtual_word_of_perm,
 )
-from svbraid.suites import random_gauss, random_word
+from svbraid.suites import (random_gauss, random_word, suite_degree_lemma,
+                            suite_scalar_preimage)
 
 OMEGA = "r1 s2' t1 r2 s2 t2"
 
@@ -52,19 +52,10 @@ def test_criterion_01_worked_expansion():
 
 def test_criterion_02_degree_spectrum_lemma():
     def body():
-        rng = random.Random(2)
-        for _ in range(500):
-            w = random_word(rng, rng.randint(2, 5), 12)
-            d = singularity_count(w)
-            s = degree(w)
-            assert sum(1 for _ in eta_hat_expansion(w)) == 2 ** d
-            spectrum = degree_spectrum(eta_hat(w))
-            assert spectrum.get(s - d) == 1
-            assert spectrum.get(s + d) == 1
-            for deg in spectrum:
-                assert s - d <= deg <= s + d
-                if deg not in (s - d, s + d):
-                    assert s - d < deg < s + d
+        # 500 words random_word(Random(2), 2..5, 12): 2^d terms, unique
+        # extremal degrees s-d and s+d, every other degree strictly between
+        report = suite_degree_lemma(5, seed=2)
+        assert report.counts() == (500, 0), report.checks
     _timed(2, 10.0, body)
 
 
@@ -132,7 +123,7 @@ def test_criterion_07_semidirect_homomorphism():
             assert decompose(concat(u, v)) == semidirect_multiply(
                 decompose(u), decompose(v))
         for p in itertools.permutations(range(1, 5)):
-            w = tau_of_permutation(p)
+            w = virtual_word_of_perm(p)
             assert theta(w) == p
             assert all(g.kind == Kind.VIRT for g in w.letters)
     _timed(7, 5.0, body)
@@ -140,16 +131,10 @@ def test_criterion_07_semidirect_homomorphism():
 
 def test_criterion_08_scalar_preimage():
     def body():
-        from svbraid import scalar_preimage_check
-        alphabet = (sigma(1), sigma(1, -1), rho(1), tau(1))
-        pool = [()]
-        for _ in range(7):
-            for letters in pool:
-                w = BraidWord(2, letters)
-                assert scalar_preimage_check(w) == (len(free_reduce(w)) == 0)
-                if singularity_count(w) >= 1:
-                    assert len(degree_spectrum(eta_hat(w))) >= 2
-            pool = [ls + (g,) for ls in pool for g in alphabet]
+        # every word of length 0..6 over s1, s1', r1, t1 (4096 in all): the
+        # check agrees with free reduction, and d >= 1 gives two degrees
+        report = suite_scalar_preimage(2)
+        assert report.counts() == (7, 0), report.checks
     _timed(8, 30.0, body)
 
 

@@ -105,6 +105,11 @@ def test_gauss_roundtrip_through_cli():
 def test_from_gauss_bad_json_is_domain_error():
     code, out = run(["from-gauss", "{not json"])
     assert code == 1 and out == ""
+    # well-formed JSON with values of the wrong type is a domain error too
+    for diagram in ('{"n": 2, "arrows": [{"tail": "1", "head": 2, "kind": "+"}], "perm": [1, 2]}',
+                    '{"n": "2", "arrows": [], "perm": [1, 2]}'):
+        code, out = run(["from-gauss", diagram])
+        assert code == 1 and out == ""
 
 
 def test_desing_worked_example():

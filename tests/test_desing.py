@@ -59,9 +59,7 @@ def test_expansion_size_cap():
     with pytest.raises(ValueError):
         eta_hat(w)
     small = BraidWord(2, parse_word("t1", 2).letters * 3)
-    assert len(eta_hat(small, max_singularities=3)) == 8
-    with pytest.raises(ValueError):
-        eta_hat(small, max_singularities=2)
+    assert len(eta_hat(small)) == 8
 
 
 def test_eta_rejects_virtual_letters():

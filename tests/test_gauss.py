@@ -38,6 +38,12 @@ def test_gauss_word_validation():
     with pytest.raises(ValueError):
         GaussWord(2, (), (2, 2))
     assert GaussWord(3, ()).perm == (1, 2, 3)
+    arrows = (Arrow(1, 2, ArrowKind.POS), Arrow(2, 1, ArrowKind.SING))
+    assert GaussWord(2, arrows).arrows is arrows
+    # one input format: a tuple of Arrows of an ArrowKind
+    for bad in (((1, 2, 0),), [arrows[0]], (Arrow(1, 2, 7),)):
+        with pytest.raises(ValueError):
+            GaussWord(2, bad)
 
 
 def test_braid_of_gauss_is_section():

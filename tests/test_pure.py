@@ -4,13 +4,13 @@ import random
 import pytest
 
 from svbraid import (
-    Arrow, ArrowKind, BraidWord, Equivalent, Kind, PureWord, SemidirectPair, X, Y,
-    compose_perms, concat, decompose, degree, embed_pure_generator,
-    embed_pure_word, equivalent, factor_singular, free_reduce, gauss_of_braid,
-    identity_perm, pair_from_dict, pair_to_dict, parse_pure_word, parse_word,
-    print_pure_word, print_word, reassemble_factorization, reassemble_pair,
-    semidirect_multiply, singularity_count, sp_relation_instances,
-    tau_of_permutation, theta, verify_sp_relations,
+    Arrow, ArrowKind, BraidWord, Equivalent, PureGenerator, PureWord,
+    SemidirectPair, X, Y, compose_perms, concat, decompose, degree,
+    embed_pure_generator, embed_pure_word, equivalent, factor_singular,
+    free_reduce, gauss_of_braid, identity_perm, pair_from_dict, pair_to_dict,
+    parse_pure_word, parse_word, print_pure_word, print_word,
+    reassemble_factorization, reassemble_pair, semidirect_multiply,
+    singularity_count, sp_relation_instances, theta, verify_sp_relations,
 )
 from svbraid.suites import random_word
 
@@ -27,6 +27,13 @@ def test_pure_word_parse_print():
         parse_pure_word("Y1,1", 3)
     with pytest.raises(ValueError):
         parse_pure_word("Y1,4", 3)
+    letters = (X(1, 2), Y(3, 1))
+    assert PureWord(3, letters).letters is letters
+    # one input format: a tuple of PureGenerators of an ArrowKind
+    for bad in (((1, 2, 0),), [X(1, 2)], (Arrow(1, 2, ArrowKind.POS),),
+                (PureGenerator(1, 2, 7),)):
+        with pytest.raises(ValueError):
+            PureWord(3, bad)
 
 
 def test_generator_constructors():
@@ -64,13 +71,6 @@ def test_embedding_is_gauss_faithful():
         g = gauss_of_braid(embed_pure_word(p))
         assert g.arrows == tuple(Arrow(*letter) for letter in letters)
         assert g.perm == identity_perm(n)
-
-
-def test_tau_of_permutation_exhaustive_s4():
-    for p in itertools.permutations(range(1, 5)):
-        w = tau_of_permutation(p)
-        assert theta(w) == p
-        assert all(g.kind == Kind.VIRT for g in w.letters)
 
 
 def test_decompose_reassemble_certified():

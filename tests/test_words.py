@@ -3,11 +3,12 @@ import random
 import pytest
 
 from svbraid import (
-    BraidWord, Budget, Distinct, Equivalent, IndexRangeError, Kind, ParseError,
-    TraceStep, Unknown, compose_perms, concat, degree, equivalent, free_reduce,
-    free_reduce_trace, identity_perm, inverse_word, invert_perm, invert_step, mirror,
-    parse_word, print_word, relation_catalog, replay_trace, rewrite_neighbors,
-    rho, sigma, singularity_count, tau, theta, virtual_word_of_perm,
+    BraidWord, Budget, Distinct, Equivalent, Generator, IndexRangeError, Kind,
+    ParseError, TraceStep, Unknown, compose_perms, concat, degree, equivalent,
+    free_reduce, free_reduce_trace, identity_perm, inverse_word, invert_perm,
+    invert_step, mirror, parse_word, print_word, relation_catalog,
+    replay_trace, rewrite_neighbors, rho, sigma, singularity_count, tau, theta,
+    virtual_word_of_perm,
 )
 from svbraid import words
 from svbraid.gauss import braid_of_gauss, gauss_of_braid
@@ -59,10 +60,16 @@ def test_word_container_basics():
     assert len(w) == 2
     assert w.letters == (sigma(1), tau(2))
     assert BraidWord(1) == BraidWord(1, ())
+    letters = (sigma(1), rho(2))
+    assert BraidWord(3, letters).letters is letters
     with pytest.raises(ValueError):
         BraidWord(0)
-    with pytest.raises(ValueError):
+    with pytest.raises(IndexRangeError):
         BraidWord(2, (sigma(5),))
+    # one input format: a tuple of Generators of a Kind
+    for bad in (((0, 1),), [sigma(1)], (Generator(7, 1),)):
+        with pytest.raises(ValueError):
+            BraidWord(2, bad)
 
 
 def test_concat_and_inverse():
@@ -90,7 +97,7 @@ def test_mirrored_relations_follow_from_the_catalog():
         if inst.family not in ("R2", "R3", "S3", "S4"):
             continue
         u, v = mirror(inst.lhs), mirror(inst.rhs)
-        verdict = equivalent(u, v, Budget(slack=6))
+        verdict = equivalent(u, v, Budget(max_len=9))
         assert isinstance(verdict, Equivalent), (inst, verdict)
         assert replay_trace(u, verdict.trace) == v
 
@@ -295,7 +302,7 @@ def test_budget_binds_every_search(monkeypatch):
     assert len(seen) >= 2
     for longest, max_len, max_nodes in seen:
         assert max_nodes == budget.nodes
-        assert max_len <= longest + budget.slack
+        assert max_len == budget.resolve_max_len(longest)
     # the normalisation sub-searches stop at the caller's node budget too
     u, v = parse_word("r4 t1 s3 t3 t2 r1 r2", 5), parse_word("t1 r4 s3 t3 t2 r1 r2", 5)
     verdict = equivalent(u, v, Budget(nodes=10))
@@ -320,7 +327,5 @@ def test_equivalent_unknown_reports_effort():
 def test_budget_validation():
     with pytest.raises(ValueError):
         Budget(nodes=0)
-    with pytest.raises(ValueError):
-        Budget(slack=-1)
     with pytest.raises(ValueError):
         Budget(max_len=0)
