@@ -4,7 +4,7 @@ Run with: python3 demos/02_gauss_diagrams.py
 """
 
 from svbraid import (
-    Budget, Equivalent, GaussWord, braid_of_gauss, canonical_form,
+    Equivalent, GaussWord, braid_of_gauss, canonical_form,
     gauss_of_braid, omega_equivalent, pair_invariants, parse_word, print_word,
     relation_catalog, replay_omega_trace,
 )
@@ -35,13 +35,13 @@ print(f"{print_word(w)} realizes as {print_word(back)} (same diagram)")
 print()
 
 # omega moves certify relation instances diagrammatically
-budget = Budget(max_moves=6)
 total = 0
 for m in (2, 3, 4):
     for inst in relation_catalog(m):
         gl, gr = gauss_of_braid(inst.lhs), gauss_of_braid(inst.rhs)
-        verdict = omega_equivalent(gl, gr, budget)
+        verdict = omega_equivalent(gl, gr)
         assert isinstance(verdict, Equivalent), inst.family
+        assert len(verdict.trace) <= 6, inst.family
         assert replay_omega_trace(gl, verdict.trace) == gr
         total += 1
 print(f"all {total} relation instances certified in at most 6 moves")

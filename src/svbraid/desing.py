@@ -14,7 +14,7 @@ from typing import Iterable, Iterator
 
 from .words import (
     BraidWord, Generator, Kind, degree, free_reduce, parse_word, print_word,
-    sigma, singularity_count,
+    sigma,
 )
 
 

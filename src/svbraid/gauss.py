@@ -300,9 +300,7 @@ def omega_equivalent(g: GaussWord, h: GaussWord, budget: Budget | None = None) -
     cg, trace_g = canonical_form_trace(g)
     ch, trace_h = canonical_form_trace(h)
     if cg.arrows == ch.arrows:
-        trace = trace_g + tuple(invert_step(s) for s in reversed(trace_h))
-        if budget.max_moves is None or len(trace) <= budget.max_moves:
-            return Equivalent(trace)
+        return Equivalent(trace_g + tuple(invert_step(s) for s in reversed(trace_h)))
     distinct = burau_screen(braid_of_gauss(g), braid_of_gauss(h))
     if distinct is not None:
         return distinct
@@ -310,7 +308,7 @@ def omega_equivalent(g: GaussWord, h: GaussWord, budget: Budget | None = None) -
     max_arrows = budget.resolve_max_len(len(g.arrows), len(h.arrows))
     found = bidirectional_search(
         g.arrows, h.arrows, lambda state: _omega_moves(state, g.n, max_arrows),
-        max_nodes=budget.nodes, max_moves=budget.max_moves)
+        max_nodes=budget.nodes)
     if isinstance(found, SearchStats):
         return Unknown(*found)
     trace = tuple(TraceStep(*move) for move in found)

@@ -21,9 +21,8 @@ from dataclasses import dataclass
 from typing import Iterable, NamedTuple
 
 from .words import (
-    BraidWord, Budget, Equivalent, Kind, Perm, Verdict, compose_perms, concat,
-    identity_perm, inverse_word, invert_perm, is_perm, tau, theta,
-    virtual_word_of_perm,
+    BraidWord, Equivalent, Kind, Perm, Verdict, compose_perms, concat,
+    inverse_word, invert_perm, is_perm, tau, virtual_word_of_perm,
 )
 from .gauss import (
     Arrow, ArrowKind, GaussWord, braid_of_gauss, gauss_of_braid, move_shapes,
@@ -218,7 +217,7 @@ def sp_relation_instances(n: int) -> tuple[tuple[str, PureWord, PureWord], ...]:
     return tuple(out)
 
 
-def verify_sp_relations(n: int, budget: Budget | None = None) -> SPReport:
+def verify_sp_relations(n: int) -> SPReport:
     """Embed both sides of every defining relation and certify that their
     Gauss diagrams are omega-equivalent.  Any non-Equivalent verdict is a
     reported failure."""
@@ -226,8 +225,7 @@ def verify_sp_relations(n: int, budget: Budget | None = None) -> SPReport:
     for family, lhs, rhs in sp_relation_instances(n):
         label = f"{family} {print_pure_word(lhs)} = {print_pure_word(rhs)}"
         verdict = omega_equivalent(gauss_of_braid(embed_pure_word(lhs)),
-                                   gauss_of_braid(embed_pure_word(rhs)),
-                                   budget)
+                                   gauss_of_braid(embed_pure_word(rhs)))
         checks.append(SPCheck(label, family, verdict))
     checks.sort(key=lambda c: c.label)
     return SPReport(n, tuple(checks))
@@ -278,7 +276,6 @@ def pair_to_dict(pair: SemidirectPair) -> dict:
 def pair_from_dict(d: dict, n: int) -> SemidirectPair:
     try:
         pure = parse_pure_word(d["pure"], n)
-        perm = tuple(d["perm"])
+        return SemidirectPair(pure, tuple(d["perm"]))
     except (KeyError, TypeError) as exc:
         raise ValueError(f"malformed semidirect pair data: {exc}") from exc
-    return SemidirectPair(pure, perm)

@@ -22,18 +22,12 @@ class SearchStats(NamedTuple):
 Move = tuple  # (label, position, before, after)
 
 
-def bidirectional_search(
-    start: Hashable,
-    goal: Hashable,
-    neighbors: Callable,
-    *,
-    max_nodes: int,
-    max_moves: int | None = None,
-) -> list[Move] | SearchStats:
+def bidirectional_search(start: Hashable, goal: Hashable, neighbors: Callable,
+                         *, max_nodes: int) -> list[Move] | SearchStats:
     """Search from both ends; a list of moves transforms start into goal.
 
-    Returns SearchStats instead of a path when the node budget, the move
-    cap, or frontier exhaustion stops the search.
+    Returns SearchStats instead of a path when the node budget or frontier
+    exhaustion stops the search.
     """
     if start == goal:
         return []
@@ -61,8 +55,6 @@ def bidirectional_search(
         return fwd
 
     while frontier_f and frontier_b:
-        if max_moves is not None and depth_f + depth_b >= max_moves:
-            break
         forward = len(frontier_f) <= len(frontier_b)
         frontier = frontier_f if forward else frontier_b
         seen, other = (seen_f, seen_b) if forward else (seen_b, seen_f)

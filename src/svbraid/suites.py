@@ -16,7 +16,7 @@ from .gauss import (Arrow, ArrowKind, GaussWord, braid_of_gauss, gauss_of_braid,
 from .pure import verify_sp_relations
 from .surface import (euler_by_traversal, euler_characteristic, ribbon_of_braid,
                       surface_summary)
-from .words import (BraidWord, Budget, Equivalent, Generator, Kind, degree,
+from .words import (BraidWord, Equivalent, Generator, Kind, degree,
                     free_reduce, print_word, relation_catalog, rho, sigma,
                     singularity_count, tau, theta)
 
@@ -83,9 +83,11 @@ def suite_relations(n: int, seed: int = 0) -> SuiteReport:
         gl, gr = gauss_of_braid(inst.lhs), gauss_of_braid(inst.rhs)
         if pair_invariants(gl) != pair_invariants(gr):
             problems.append("pair-invariants")
-        verdict = omega_equivalent(gl, gr, Budget(max_moves=6))
+        verdict = omega_equivalent(gl, gr)
         if not isinstance(verdict, Equivalent):
             problems.append(f"omega:{type(verdict).__name__}")
+        elif len(verdict.trace) > 6:
+            problems.append(f"omega:{len(verdict.trace)} moves")
         detail = (f"{print_word(inst.lhs)} == {print_word(inst.rhs)}"
                   if not problems else "mismatch: " + ",".join(problems))
         checks.append(SuiteCheck(f"{inst.family}-{k:03d}", not problems, detail))

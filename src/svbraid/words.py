@@ -438,14 +438,13 @@ def rewrite_neighbors(w: BraidWord, max_len: int) -> tuple[tuple[TraceStep, Brai
 
 
 def _word_search(start: tuple[Generator, ...], goal: tuple[Generator, ...],
-                 rules, max_len: int, max_nodes: int,
-                 max_moves: int | None = None, offset: int = 0):
+                 rules, max_len: int, max_nodes: int, offset: int = 0):
     """Bidirectional search between two letter sequences under ``rules``:
     the moves as TraceSteps shifted by ``offset``, or the SearchStats."""
     found = bidirectional_search(
         encode_letters(start), encode_letters(goal),
         lambda state: _byte_neighbors(state, rules, max_len),
-        max_nodes=max_nodes, max_moves=max_moves)
+        max_nodes=max_nodes)
     if isinstance(found, SearchStats):
         return found
     return tuple(TraceStep(label, p + offset, decode_letters(pat), decode_letters(rep))
@@ -456,22 +455,19 @@ def _word_search(start: tuple[Generator, ...], goal: tuple[Generator, ...],
 
 @dataclass(frozen=True)
 class Budget:
-    """Search limits: ``nodes`` caps stored states, ``max_len`` caps the
-    length of intermediate words (by default the longer end word plus 4),
-    and ``max_moves`` bounds the total trace length.  They bind every
-    search, the diagram normalisation sub-searches included."""
+    """Search limits: ``nodes`` caps stored states and ``max_len`` caps the
+    length of intermediate words (by default the longer end word plus 4).
+    They bind every search, the diagram normalisation sub-searches
+    included."""
 
     nodes: int = 200_000
     max_len: int | None = None
-    max_moves: int | None = None
 
     def __post_init__(self):
         if self.nodes <= 0:
             raise ValueError("node budget must be positive")
         if self.max_len is not None and self.max_len <= 0:
             raise ValueError("max_len must be positive")
-        if self.max_moves is not None and self.max_moves < 0:
-            raise ValueError("max_moves must be non-negative")
 
     def resolve_max_len(self, *lengths: int) -> int:
         if self.max_len is not None:
@@ -594,13 +590,7 @@ def equivalent(u: BraidWord, v: BraidWord, budget: Budget | None = None) -> Verd
     ur, trace_u = free_reduce_trace(u)
     vr, trace_v = free_reduce_trace(v)
     tail = tuple(invert_step(s) for s in reversed(trace_v))
-    # the free reductions are part of every certificate built from ur, vr
-    moves_left = None
-    if budget.max_moves is not None:
-        moves_left = budget.max_moves - len(trace_u) - len(tail)
     if ur.letters == vr.letters:
-        if moves_left is not None and moves_left < 0:
-            return Unknown(0, 0, 0)
         return Equivalent(trace_u + tail)
 
     # Words with equal Gauss diagrams differ only by virtual rerouting;
@@ -615,15 +605,12 @@ def equivalent(u: BraidWord, v: BraidWord, budget: Budget | None = None) -> Verd
         if ta is None or tb is None:
             break
         trace = prefix + ta + tuple(invert_step(s) for s in reversed(tb)) + suffix
-        if budget.max_moves is not None and len(trace) > budget.max_moves:
-            break
         if replay_trace(u, trace).letters != v.letters:
             raise AssertionError("normalisation produced a trace that does not replay")
         return Equivalent(trace)
 
     found = _word_search(ur.letters, vr.letters, _rewrite_rules(u.n),
-                         budget.resolve_max_len(len(u), len(v)), budget.nodes,
-                         moves_left)
+                         budget.resolve_max_len(len(u), len(v)), budget.nodes)
     if isinstance(found, SearchStats):
         return Unknown(*found)
     trace = trace_u + found + tail

@@ -10,15 +10,15 @@ import random
 import time
 
 from svbraid import (
-    BraidWord, Budget, Equivalent, Kind, X, Y, canonical_form, concat,
-    decompose, degree, degree_spectrum, embed_pure_generator, equivalent,
-    eta_hat, factor_singular, gauss_of_braid, braid_of_gauss, identity_perm,
-    omega_equivalent, pair_invariants, parse_word, print_word,
-    reassemble_factorization, relation_catalog, semidirect_multiply,
-    singularity_count, theta, verify_sp_relations, virtual_word_of_perm,
+    BraidWord, Equivalent, Kind, X, Y, canonical_form, concat, decompose,
+    degree, degree_spectrum, embed_pure_generator, equivalent, eta_hat,
+    factor_singular, gauss_of_braid, braid_of_gauss, identity_perm,
+    pair_invariants, parse_word, print_word, reassemble_factorization,
+    semidirect_multiply, singularity_count, theta, verify_sp_relations,
+    virtual_word_of_perm,
 )
 from svbraid.suites import (random_gauss, random_word, suite_degree_lemma,
-                            suite_scalar_preimage)
+                            suite_relations, suite_scalar_preimage)
 
 OMEGA = "r1 s2' t1 r2 s2 t2"
 
@@ -61,15 +61,11 @@ def test_criterion_02_degree_spectrum_lemma():
 
 def test_criterion_03_relation_sanity():
     def body():
+        # every catalog instance: equal theta, degree, singularity count and
+        # pair invariants, and an omega certificate of at most 6 moves
         for n in (2, 3, 4):
-            for inst in relation_catalog(n):
-                assert theta(inst.lhs) == theta(inst.rhs), inst.family
-                assert degree(inst.lhs) == degree(inst.rhs), inst.family
-                assert singularity_count(inst.lhs) == singularity_count(inst.rhs)
-                gl, gr = gauss_of_braid(inst.lhs), gauss_of_braid(inst.rhs)
-                assert pair_invariants(gl) == pair_invariants(gr), inst.family
-                v = omega_equivalent(gl, gr, Budget(max_moves=6))
-                assert isinstance(v, Equivalent), inst.family
+            report = suite_relations(n)
+            assert report.passed, [c for c in report.checks if not c.passed]
     _timed(3, 30.0, body)
 
 

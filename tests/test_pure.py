@@ -164,3 +164,5 @@ def test_pair_dict_roundtrip():
     assert pair_from_dict(pair_to_dict(pair), 3) == pair
     with pytest.raises(ValueError):
         pair_from_dict({"pure": "e"}, 3)
+    with pytest.raises(ValueError):
+        pair_from_dict({"pure": "e", "perm": [1, "x"]}, 2)

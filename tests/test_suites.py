@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from svbraid import Equivalent, TraceStep, suites
 from svbraid.suites import (SUITE_NAMES, random_gauss, random_word, run_suite)
 
 
@@ -12,6 +13,16 @@ def test_every_suite_passes_at_small_scale():
         assert report.suite == name
         good, bad = report.counts()
         assert bad == 0 and good == len(report.checks)
+
+
+def test_relations_suite_fails_a_certificate_over_six_moves(monkeypatch):
+    def seven_moves(g, h):
+        return Equivalent((TraceStep("O2", 0, (), ()),) * 7)
+    monkeypatch.setattr(suites, "omega_equivalent", seven_moves)
+    report = suites.suite_relations(3)
+    assert not report.passed
+    assert all(not c.passed and c.detail == "mismatch: omega:7 moves"
+               for c in report.checks)
 
 
 def test_unknown_suite_name():

@@ -221,19 +221,6 @@ def test_equivalent_distinct_by_invariants():
     assert isinstance(v, Distinct)
 
 
-def test_equivalent_respects_move_budget():
-    u, v = parse_word("t1 s1", 2), parse_word("s1 t1", 2)
-    verdict = equivalent(u, v, Budget(max_moves=0))
-    assert isinstance(verdict, Unknown)
-    # the free-reduction steps count against the same allowance
-    u, v = parse_word("s1 s1' s1 s3", 4), parse_word("s3 s1", 4)
-    assert isinstance(equivalent(u, v, Budget(max_moves=1)), Unknown)
-    assert len(equivalent(u, v, Budget(max_moves=2)).trace) == 2
-    u, v = parse_word("s1 s1' s2", 3), parse_word("s2", 3)
-    assert isinstance(equivalent(u, v, Budget(max_moves=0)), Unknown)
-    assert len(equivalent(u, v, Budget(max_moves=1)).trace) == 1
-
-
 def test_equivalent_beyond_one_byte_letters():
     # letters r68 and t69 pack to code points above 255
     u, v = parse_word("r68 t69 r68", 70), parse_word("r69 t68 r69", 70)
