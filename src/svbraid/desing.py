@@ -3,7 +3,7 @@
 ``eta_hat`` replaces every singular letter by the formal difference of the
 two classical resolutions and expands multiplicatively, producing an
 integer combination of singularity-free words.  Keys of the combination
-are plain letter sequences: no relation, not even free cancellation, is
+are the words as built: no relation, not even free cancellation, is
 applied when merging, so ``t1 t1`` expands to four distinct terms even
 though the two middle ones cancel in the group.
 """
@@ -13,8 +13,7 @@ from __future__ import annotations
 from typing import Iterable, Iterator
 
 from .words import (
-    BraidWord, Generator, Kind, degree, free_reduce, parse_word, print_word,
-    sigma,
+    BraidWord, Kind, degree, free_reduce, parse_word, print_word, sigma,
 )
 
 
@@ -28,7 +27,7 @@ class FormalSum:
 
     def __init__(self, n: int, terms: Iterable[tuple[BraidWord, int]] = ()):
         self.n = n
-        self._terms: dict[tuple[Generator, ...], int] = {}
+        self._terms: dict[BraidWord, int] = {}
         for word, coeff in terms:
             self.add(word, coeff)
 
@@ -37,19 +36,17 @@ class FormalSum:
             raise ValueError("strand count mismatch")
         if any(g.kind == Kind.SING for g in word.letters):
             raise ValueError("formal sums hold singularity-free words only")
-        key = word.letters
-        new = self._terms.get(key, 0) + coeff
+        new = self._terms.get(word, 0) + coeff
         if new:
-            self._terms[key] = new
+            self._terms[word] = new
         else:
-            self._terms.pop(key, None)
+            self._terms.pop(word, None)
 
     def coefficient(self, word: BraidWord) -> int:
-        return self._terms.get(word.letters, 0)
+        return self._terms.get(word, 0)
 
     def terms(self) -> Iterator[tuple[BraidWord, int]]:
-        for key, coeff in self._terms.items():
-            yield BraidWord(self.n, key), coeff
+        return iter(self._terms.items())
 
     def __len__(self) -> int:
         return len(self._terms)

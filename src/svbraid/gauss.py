@@ -54,15 +54,16 @@ class GaussWord:
     perm: tuple[int, ...] = ()
 
     def __post_init__(self):
-        if self.n < 1:
-            raise ValueError(f"strand count must be positive, got {self.n}")
+        if type(self.n) is not int or self.n < 1:
+            raise ValueError(f"strand count must be a positive int, got {self.n!r}")
         if type(self.arrows) is not tuple or type(self.perm) is not tuple:
             raise ValueError("arrows and perm must be tuples")
         if not self.perm:
             object.__setattr__(self, "perm", identity_perm(self.n))
         for a in self.arrows:
-            if type(a) is not Arrow or type(a.kind) is not ArrowKind:
-                raise ValueError(f"arrow {a!r} is not an Arrow of an ArrowKind")
+            if (type(a) is not Arrow or type(a.kind) is not ArrowKind
+                    or type(a.tail) is not int or type(a.head) is not int):
+                raise ValueError(f"arrow {a!r} is not an Arrow of int strands and an ArrowKind")
             if not (1 <= a.tail <= self.n and 1 <= a.head <= self.n):
                 raise ValueError(f"arrow {a} leaves strands 1..{self.n}")
             if a.tail == a.head:
@@ -146,10 +147,6 @@ def pair_invariants(g: GaussWord) -> PairInvariant:
     return out
 
 
-def _support_disjoint(a: Arrow, b: Arrow) -> bool:
-    return not ({a.tail, a.head} & {b.tail, b.head})
-
-
 def _arrow_key(a: Arrow):
     return (min(a.tail, a.head), max(a.tail, a.head), int(a.kind), a.tail)
 
@@ -167,13 +164,15 @@ def canonical_form_trace(g: GaussWord) -> tuple[GaussWord, tuple[TraceStep, ...]
     for q in range(len(arrows)):
         best_j = q
         best = _arrow_key(arrows[q])
+        blocked = {arrows[q].tail, arrows[q].head}
         for j in range(q + 1, len(arrows)):
-            # movable to the front of the suffix iff disjoint from everything before it
-            if not all(_support_disjoint(arrows[m], arrows[j]) for m in range(q, j)):
-                continue
-            kj = _arrow_key(arrows[j])
-            if kj < best:
-                best, best_j = kj, j
+            a = arrows[j]
+            # movable to the front of the suffix iff it misses every strand before it
+            if a.tail not in blocked and a.head not in blocked:
+                kj = _arrow_key(a)
+                if kj < best:
+                    best, best_j = kj, j
+            blocked.update((a.tail, a.head))
         for j in range(best_j, q, -1):
             a, b = arrows[j - 1], arrows[j]
             trace.append(TraceStep("swap", j - 1, (a, b), (b, a)))
@@ -240,13 +239,13 @@ def _moves_from() -> dict[tuple[Arrow, ...], list[tuple[str, tuple[Arrow, ...]]]
 
 
 def _omega_moves(arrows: tuple[Arrow, ...], n: int, max_arrows: int):
-    """Single omega moves in a fixed order, as (label, position, before,
-    after, resulting arrows): each ``move_shapes`` shape, in either
-    direction, at every window of arrows it matches under a renaming of
-    strands; then a side with nothing before it inserted at every position
-    on every ordered choice of strands; then disjoint-support swaps.  Each
-    move is a catalog relation or its mirror read on diagrams, so it is sound."""
-    moves = []
+    """Single omega moves, yielded lazily in a fixed order, as (label,
+    position, before, after, resulting arrows): each ``move_shapes`` shape,
+    in either direction, at every window of arrows it matches under a
+    renaming of strands; then a side with nothing before it inserted at
+    every position on every ordered choice of strands; then disjoint-support
+    swaps.  Each move is a catalog relation or its mirror read on diagrams,
+    so it is sound."""
     k = len(arrows)
     table = _moves_from()
     for size in sorted({len(before) for before in table} - {0}):
@@ -254,17 +253,18 @@ def _omega_moves(arrows: tuple[Arrow, ...], n: int, max_arrows: int):
             (key,), strands = _normalised(arrows[p:p + size])
             for label, after in table.get(key, ()):
                 if k - size + len(after) <= max_arrows:
-                    moves.append((label, p, arrows[p:p + size], _place(after, strands)))
+                    placed = _place(after, strands)
+                    yield (label, p, arrows[p:p + size], placed,
+                           arrows[:p] + placed + arrows[p + size:])
     for label, after in table.get((), ()):
         if k + len(after) <= max_arrows:
             for _, new in placements((), after, n):
-                moves += [(label, p, (), new) for p in range(k + 1)]
+                for p in range(k + 1):
+                    yield label, p, (), new, arrows[:p] + new + arrows[p:]
     for p in range(k - 1):
         a, b = arrows[p], arrows[p + 1]
-        if _support_disjoint(a, b):
-            moves.append(("swap", p, (a, b), (b, a)))
-    return [(label, p, before, after, arrows[:p] + after + arrows[p + len(before):])
-            for label, p, before, after in moves]
+        if not {a.tail, a.head} & {b.tail, b.head}:
+            yield "swap", p, (a, b), (b, a), arrows[:p] + (b, a) + arrows[p + 2:]
 
 
 def omega_neighbors(g: GaussWord, max_arrows: int | None = None) -> tuple[tuple[TraceStep, GaussWord], ...]:
@@ -282,15 +282,13 @@ def replay_omega_trace(g: GaussWord, trace: Iterable[TraceStep]) -> GaussWord:
     return GaussWord(g.n, arrows, g.perm)
 
 
-def omega_equivalent(g: GaussWord, h: GaussWord, budget: Budget | None = None) -> Verdict:
+def omega_equivalent(g: GaussWord, h: GaussWord) -> Verdict:
     """Three-valued omega-move equivalence of diagrams, same shape as the
     word problem: invariant screen, then commutation-only canonicalisation,
-    then the ``rep.burau`` matrices of the sections, then bounded
-    bidirectional search over single moves."""
+    then the ``rep.burau`` matrices of the sections, then bidirectional
+    search over single moves within the limits of ``Budget()``."""
     if g.n != h.n:
         raise ValueError("strand counts differ")
-    if budget is None:
-        budget = Budget()
     if g.perm != h.perm:
         return Distinct("perm", g.perm, h.perm)
     pg, ph = pair_invariants(g), pair_invariants(h)
@@ -305,6 +303,7 @@ def omega_equivalent(g: GaussWord, h: GaussWord, budget: Budget | None = None) -
     if distinct is not None:
         return distinct
 
+    budget = Budget()
     max_arrows = budget.resolve_max_len(len(g.arrows), len(h.arrows))
     found = bidirectional_search(
         g.arrows, h.arrows, lambda state: _omega_moves(state, g.n, max_arrows),

@@ -213,4 +213,6 @@ _SUITES = {
 def run_suite(name: str, n: int, seed: int = 0) -> SuiteReport:
     if name not in _SUITES:
         raise ValueError(f"unknown suite {name!r}; choose from {', '.join(SUITE_NAMES)}")
+    if n < 2:
+        raise ValueError(f"need at least two strands, got {n}")
     return _SUITES[name](n, seed)

@@ -194,7 +194,7 @@ def identity_perm(n: int) -> Perm:
 
 
 def is_perm(p: Perm) -> bool:
-    return sorted(p) == list(range(1, len(p) + 1))
+    return all(type(v) is int for v in p) and sorted(p) == list(range(1, len(p) + 1))
 
 
 def compose_perms(first: Perm, second: Perm) -> Perm:

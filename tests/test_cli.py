@@ -2,6 +2,7 @@ import json
 
 from svbraid.cli import run
 from svbraid.rep import P
+from svbraid.suites import SUITE_NAMES
 
 
 def test_parse_echoes_normal_spelling():
@@ -107,7 +108,11 @@ def test_from_gauss_bad_json_is_domain_error():
     assert code == 1 and out == ""
     # well-formed JSON with values of the wrong type is a domain error too
     for diagram in ('{"n": 2, "arrows": [{"tail": "1", "head": 2, "kind": "+"}], "perm": [1, 2]}',
-                    '{"n": "2", "arrows": [], "perm": [1, 2]}'):
+                    '{"n": "2", "arrows": [], "perm": [1, 2]}',
+                    '{"n": 2, "arrows": [], "perm": [2.0, 1.0]}',
+                    '{"n": 2.0, "arrows": [], "perm": [1, 2]}',
+                    '{"n": 2, "arrows": [{"tail": 1.5, "head": 2, "kind": "+"}], "perm": [1, 2]}',
+                    '{"n": 2, "arrows": [{"tail": true, "head": 2, "kind": "+"}], "perm": [1, 2]}'):
         code, out = run(["from-gauss", diagram])
         assert code == 1 and out == ""
 
@@ -180,6 +185,13 @@ def test_error_exit_codes():
     assert code == 2
     code, out = run(["verify", "relations", "--n", "3", "--max-len", "1"])
     assert code == 2
+
+
+def test_verify_needs_two_strands():
+    for name in SUITE_NAMES:
+        for n in ("1", "0"):
+            code, out = run(["verify", name, "--n", n])
+            assert code == 1 and out == ""
 
 
 def test_output_is_deterministic():

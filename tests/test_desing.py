@@ -88,6 +88,23 @@ def test_formal_sum_arithmetic():
         fs.add(parse_word("t1", 2), 1)
 
 
+def test_formal_sum_terms_are_the_added_words():
+    fs = FormalSum(3)
+    u, v = parse_word("s1 r2", 3), parse_word("s2'", 3)
+    fs.add(u, 2)
+    fs.add(v, -1)
+    assert [(w, c) for w, c in fs.terms()] == [(u, 2), (v, -1)]
+    assert all(w is added for (w, _), added in zip(fs.terms(), (u, v)))
+
+
+def test_formal_sum_keys_on_strand_count():
+    fs = FormalSum(3)
+    w = parse_word("s1", 3)
+    fs.add(w, 1)
+    assert fs.coefficient(w) == 1
+    assert fs.coefficient(BraidWord(4, w.letters)) == 0
+
+
 def test_formal_sum_equality_ignores_order():
     a, b = FormalSum(2), FormalSum(2)
     u, v = parse_word("s1", 2), parse_word("r1", 2)

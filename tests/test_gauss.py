@@ -3,12 +3,13 @@ import random
 import pytest
 
 from svbraid import (
-    Arrow, ArrowKind, BraidWord, Budget, Distinct, Equivalent, GaussWord,
+    Arrow, ArrowKind, BraidWord, Distinct, Equivalent, GaussWord,
     braid_of_gauss, canonical_form, canonical_form_trace, gauss_from_dict,
     gauss_of_braid, gauss_to_dict, omega_equivalent, omega_neighbors,
     pair_invariants, parse_word, print_word, relation_catalog,
     replay_omega_trace, theta,
 )
+from svbraid import gauss
 from svbraid.suites import random_gauss, random_word
 
 
@@ -44,6 +45,16 @@ def test_gauss_word_validation():
     for bad in (((1, 2, 0),), [arrows[0]], (Arrow(1, 2, 7),)):
         with pytest.raises(ValueError):
             GaussWord(2, bad)
+    # strand counts, strands and permutation entries are ints, never bools
+    for n in (2.0, True, "2"):
+        with pytest.raises(ValueError):
+            GaussWord(n, (), (1, 2))
+    for tail in (1.5, 1.0, True):
+        with pytest.raises(ValueError):
+            GaussWord(2, (Arrow(tail, 2, ArrowKind.POS),))
+    for perm in ((2.0, 1.0), (True, 2)):
+        with pytest.raises(ValueError):
+            GaussWord(2, (), perm)
 
 
 def test_braid_of_gauss_is_section():
@@ -79,6 +90,36 @@ def test_canonical_form_sorts_disjoint_arrows():
     assert c.arrows == (Arrow(1, 2, ArrowKind.POS), Arrow(3, 4, ArrowKind.POS))
     assert replay_omega_trace(g, trace) == c
     assert canonical_form(c) == c
+
+
+def _commutation_class(arrows):
+    """Every arrow sequence reached by swapping adjacent arrows on disjoint
+    strands, found by exhaustive search."""
+    seen, todo = {arrows}, [arrows]
+    while todo:
+        state = todo.pop()
+        for p in range(len(state) - 1):
+            a, b = state[p], state[p + 1]
+            if not {a.tail, a.head} & {b.tail, b.head}:
+                child = state[:p] + (b, a) + state[p + 2:]
+                if child not in seen:
+                    seen.add(child)
+                    todo.append(child)
+    return seen
+
+
+def test_canonical_form_is_least_of_commutation_class():
+    def key(arrows):
+        return [(min(a.tail, a.head), max(a.tail, a.head), int(a.kind), a.tail)
+                for a in arrows]
+
+    rng = random.Random(47)
+    for _ in range(300):
+        g = random_gauss(rng, rng.choice((3, 4)), 6)
+        c, trace = canonical_form_trace(g)
+        assert c.arrows == min(_commutation_class(g.arrows), key=key)
+        assert replay_omega_trace(g, trace) == c
+        assert all(step.label == "swap" for step in trace)
 
 
 def test_canonical_form_keeps_linked_order():
@@ -135,10 +176,14 @@ def test_omega_cancels_opposite_pair():
     assert len(v.trace) == 1
 
 
-def test_omega_equivalent_at_many_strands():
+def test_omega_equivalent_at_many_strands(monkeypatch):
+    # moves are generated lazily: the cancellation meets the goal before
+    # any of the 300*299*6 insertions is placed
+    def no_placements(*args):
+        raise AssertionError("insertions were placed")
+    monkeypatch.setattr(gauss, "placements", no_placements)
     g = GaussWord(300, (Arrow(1, 300, ArrowKind.POS), Arrow(1, 300, ArrowKind.NEG)))
-    # max_len=2 rules out insertions, which would number 300*299*6 here
-    v = omega_equivalent(g, GaussWord(300), Budget(max_len=2))
+    v = omega_equivalent(g, GaussWord(300))
     assert isinstance(v, Equivalent)
     assert replay_omega_trace(g, v.trace) == GaussWord(300)
 

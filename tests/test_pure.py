@@ -166,3 +166,9 @@ def test_pair_dict_roundtrip():
         pair_from_dict({"pure": "e"}, 3)
     with pytest.raises(ValueError):
         pair_from_dict({"pure": "e", "perm": [1, "x"]}, 2)
+
+
+def test_pair_from_dict_rejects_non_int_perm():
+    for perm in ([2.0, 1.0], [True, 2]):
+        with pytest.raises(ValueError):
+            pair_from_dict({"pure": "e", "perm": perm}, 2)

@@ -25,6 +25,13 @@ def test_relations_suite_fails_a_certificate_over_six_moves(monkeypatch):
                for c in report.checks)
 
 
+def test_every_suite_needs_two_strands():
+    for name in SUITE_NAMES:
+        for n in (1, 0):
+            with pytest.raises(ValueError, match=f"need at least two strands, got {n}"):
+                run_suite(name, n)
+
+
 def test_unknown_suite_name():
     with pytest.raises(ValueError):
         run_suite("nonsense", 3)
