@@ -56,8 +56,8 @@ class PureWord:
     letters: tuple[PureGenerator, ...] = ()
 
     def __post_init__(self):
-        if self.n < 1:
-            raise ValueError(f"strand count must be positive, got {self.n}")
+        if type(self.n) is not int or self.n < 1:
+            raise ValueError(f"strand count must be a positive int, got {self.n!r}")
         if type(self.letters) is not tuple:
             raise ValueError(f"letters must be a tuple, got {type(self.letters).__name__}")
         for g in self.letters:

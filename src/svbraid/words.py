@@ -79,8 +79,8 @@ class BraidWord:
     letters: tuple[Generator, ...] = ()
 
     def __post_init__(self):
-        if self.n < 1:
-            raise ValueError(f"strand count must be positive, got {self.n}")
+        if type(self.n) is not int or self.n < 1:
+            raise ValueError(f"strand count must be a positive int, got {self.n!r}")
         if type(self.letters) is not tuple:
             raise ValueError(f"letters must be a tuple, got {type(self.letters).__name__}")
         for g in self.letters:
@@ -497,21 +497,19 @@ class Unknown:
 Verdict = Equivalent | Distinct | Unknown
 
 
-def _diagram_normal_trace(w: BraidWord, budget: Budget):
-    """Trace from w to the canonical word of its Gauss diagram: the pure
-    embedding of each arrow in order, then the canonical virtual tail.
+def _diagram_normal_trace(w: BraidWord, section: tuple[Generator, ...], budget: Budget):
+    """Trace from w to ``section``, the letters of the section
+    ``braid_of_gauss(gauss_of_braid(w))`` of w's Gauss diagram.
 
     One pass left to right.  The virtual letters met so far form a frame;
     at each crossing the frame is straightened and the crossing slides
-    through it into its arrow's embedding ``a y b`` (the detour move), so
-    every search is over words with one crossing.  The inserted pairs
-    ``b rev(b)`` leave ``rev(b)`` in the next frame.  Every sub-search gets
+    through it into the section's next routing letters and crossing (the
+    detour move), so every search is over words with one crossing.  The
+    virtual rest of the slide is the next frame, and the last frame is
+    straightened to the section's virtual tail.  Routing runs are already
+    straight, so a section word needs no search.  Every sub-search gets
     the caller's budget.  Returns None when one fails.
     """
-    from . import gauss as _gauss
-
-    g = _gauss.gauss_of_braid(w)
-    arrows = iter(g.arrows)
     trace: list[TraceStep] = []
 
     def sub_search(start: tuple, goal: tuple, offset: int, families=None) -> bool:
@@ -539,18 +537,13 @@ def _diagram_normal_trace(w: BraidWord, budget: Budget):
         c = canonical_virtual(frame)
         if not sub_search(frame, c, done, virtual_only):
             return None
-        embed = _gauss.braid_of_gauss(_gauss.GaussWord(w.n, (next(arrows),))).letters
-        k = next(k for k, y in enumerate(embed) if y.kind != Kind.VIRT)
-        a, y, b = embed[:k], embed[k], embed[k + 1:]
-        m = canonical_virtual((rho(y.index),) + a[::-1] + c + (rho(x.index),))
-        if not sub_search(c + (x,), a + (y,) + m, done):
+        k = next(k for k in range(done, len(section)) if section[k].kind != Kind.VIRT)
+        a, y = section[done:k], section[k]
+        frame = canonical_virtual((rho(y.index),) + a[::-1] + c + (rho(x.index),))
+        if not sub_search(c + (x,), a + (y,) + frame, done):
             return None
-        done += k + 1
-        for r in b:
-            trace.append(TraceStep("V3", done, (), (r, r)))
-            done += 1
-        frame = b[::-1] + m
-    if not sub_search(frame, virtual_word_of_perm(g.perm).letters, done, virtual_only):
+        done = k + 1
+    if not sub_search(frame, section[done:], done, virtual_only):
         return None
     return tuple(trace)
 
@@ -564,7 +557,10 @@ def equivalent(u: BraidWord, v: BraidWord, budget: Budget | None = None) -> Verd
     carries a trace that replays from u to v letter for letter; anything the
     bounded search cannot settle is Unknown.  Both inputs are freely reduced
     first (those deletions are themselves relation applications, so they
-    join the trace).
+    join the trace).  Words with equal Gauss diagrams are both normalised
+    to the section ``braid_of_gauss(gauss_of_braid(w))`` of that diagram
+    instead of searched globally; a word that is its own section needs no
+    search at all.
     """
     if u.n != v.n:
         raise ValueError("strand counts differ")
@@ -594,14 +590,16 @@ def equivalent(u: BraidWord, v: BraidWord, budget: Budget | None = None) -> Verd
         return Equivalent(trace_u + tail)
 
     # Words with equal Gauss diagrams differ only by virtual rerouting;
-    # normalising both to the canonical word of the shared diagram settles
-    # them without a global search.
+    # normalising both to the section of the shared diagram settles them
+    # without a global search.
     for a, b, prefix, suffix in (
             (ur, vr, trace_u, tail), (u, v, (), ())):
-        if gauss.gauss_of_braid(a) != gauss.gauss_of_braid(b):
+        g = gauss.gauss_of_braid(a)
+        if g != gauss.gauss_of_braid(b):
             continue
-        ta = _diagram_normal_trace(a, budget)
-        tb = _diagram_normal_trace(b, budget)
+        section = gauss.braid_of_gauss(g).letters
+        ta = _diagram_normal_trace(a, section, budget)
+        tb = _diagram_normal_trace(b, section, budget)
         if ta is None or tb is None:
             break
         trace = prefix + ta + tuple(invert_step(s) for s in reversed(tb)) + suffix

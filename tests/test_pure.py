@@ -34,6 +34,8 @@ def test_pure_word_parse_print():
                 (PureGenerator(1, 2, 7),)):
         with pytest.raises(ValueError):
             PureWord(3, bad)
+    with pytest.raises(ValueError):
+        PureWord(3.0)
 
 
 def test_generator_constructors():

@@ -12,7 +12,7 @@ from svbraid import (
 )
 from svbraid import words
 from svbraid.gauss import braid_of_gauss, gauss_of_braid
-from svbraid.suites import random_word
+from svbraid.suites import random_gauss, random_word
 
 
 def assert_catalog_steps(n, trace):
@@ -64,6 +64,10 @@ def test_word_container_basics():
     assert BraidWord(3, letters).letters is letters
     with pytest.raises(ValueError):
         BraidWord(0)
+    # the strand count is an int: a float or a bool is rejected
+    for n in (2.0, True):
+        with pytest.raises(ValueError):
+            BraidWord(n, (sigma(1),))
     with pytest.raises(IndexRangeError):
         BraidWord(2, (sigma(5),))
     # one input format: a tuple of Generators of a Kind
@@ -262,6 +266,7 @@ def test_equivalent_traces_replay():
     (3, "r2 r1 t2 r1 r2 r1"),
     (5, "s1' s3' s3' r1 r2 s2'"),
     (5, "s2' t3 t3 s4 s4 r1 t2 s3' t3 t4"),
+    (5, "r1 r4 s2 s2' s3 s1"),
 ])
 def test_equal_diagrams_are_equivalent(n, text):
     # each crossing slides through the straightened virtual letters before it
@@ -271,6 +276,16 @@ def test_equal_diagrams_are_equivalent(n, text):
     assert isinstance(verdict, Equivalent), verdict
     assert replay_trace(u, verdict.trace) == v
     assert_catalog_steps(n, verdict.trace)
+
+
+def test_sections_normalise_without_search(monkeypatch):
+    seen = []
+    monkeypatch.setattr(words, "_word_search", lambda *args, **kwargs: seen.append(args))
+    rng = random.Random(0)
+    for k in range(2000):
+        s = braid_of_gauss(random_gauss(rng, 2 + k % 6, 8))
+        assert words._diagram_normal_trace(s, s.letters, Budget()) == ()
+    assert seen == []
 
 
 def test_budget_binds_every_search(monkeypatch):
