@@ -44,9 +44,9 @@ def _build_parser() -> argparse.ArgumentParser:
     add("parse", "parse a word and echo its normal spelling", words=1)
     add("invariants", "permutation, degree, and singularity count", words=1)
     p = add("equiv", "decide equivalence of two words", words=2)
-    p.add_argument("--budget", type=int, default=None,
+    p.add_argument("--budget", type=int, default=Budget.nodes,
                    help="node budget of every search, normalisation "
-                   "sub-searches included (default 200000)")
+                   "sub-searches included (default %(default)s)")
     p.add_argument("--max-len", type=int, default=None,
                    help="length cap for intermediate words of every search")
     add("to-gauss", "Gauss diagram of a word", words=1)
@@ -71,15 +71,6 @@ def _emit(fmt: str, payload, text: str) -> str:
     if fmt == "json":
         return json.dumps(payload, indent=2, sort_keys=True) + "\n"
     return text
-
-
-def _budget(args: argparse.Namespace) -> Budget:
-    kwargs = {}
-    if args.budget is not None:
-        kwargs["nodes"] = args.budget
-    if args.max_len is not None:
-        kwargs["max_len"] = args.max_len
-    return Budget(**kwargs)
 
 
 def _cmd_parse(args) -> tuple[int, str]:
@@ -108,7 +99,7 @@ def _json_value(value):
 def _cmd_equiv(args) -> tuple[int, str]:
     u = parse_word(args.left, args.n)
     v = parse_word(args.right, args.n)
-    verdict = equivalent(u, v, _budget(args))
+    verdict = equivalent(u, v, Budget(args.budget, args.max_len))
     if isinstance(verdict, Equivalent):
         payload = {"verdict": "equivalent", "moves": len(verdict.trace),
                    "trace": [{"label": s.label, "position": s.position}

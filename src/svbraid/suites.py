@@ -12,17 +12,13 @@ from typing import NamedTuple
 
 from .desing import degree_spectrum, eta_hat, eta_hat_expansion, scalar_preimage_check
 from .gauss import (Arrow, ArrowKind, GaussWord, braid_of_gauss, gauss_of_braid,
-                    omega_equivalent, pair_invariants)
+                    omega_equivalent)
 from .pure import verify_sp_relations
 from .surface import (euler_by_traversal, euler_characteristic, ribbon_of_braid,
                       surface_summary)
 from .words import (BraidWord, Equivalent, Generator, Kind, degree,
-                    free_reduce, print_word, relation_catalog, rho, sigma,
-                    singularity_count, tau, theta)
-
-SUITE_NAMES = ("relations", "gauss-roundtrip", "degree-lemma", "sp-relations",
-               "scalar-preimage", "surface")
-
+                    free_reduce, print_word, relation_catalog, rho, screen,
+                    sigma, singularity_count, tau)
 
 class SuiteCheck(NamedTuple):
     name: str
@@ -73,17 +69,9 @@ def random_gauss(rng: random.Random, n: int, max_arrows: int) -> GaussWord:
 def suite_relations(n: int, seed: int = 0) -> SuiteReport:
     checks = []
     for k, inst in enumerate(relation_catalog(n)):
-        problems = []
-        if theta(inst.lhs) != theta(inst.rhs):
-            problems.append("theta")
-        if degree(inst.lhs) != degree(inst.rhs):
-            problems.append("degree")
-        if singularity_count(inst.lhs) != singularity_count(inst.rhs):
-            problems.append("singularities")
-        gl, gr = gauss_of_braid(inst.lhs), gauss_of_braid(inst.rhs)
-        if pair_invariants(gl) != pair_invariants(gr):
-            problems.append("pair-invariants")
-        verdict = omega_equivalent(gl, gr)
+        distinct = screen(inst.lhs, inst.rhs)
+        problems = [] if distinct is None else [distinct.invariant]
+        verdict = omega_equivalent(gauss_of_braid(inst.lhs), gauss_of_braid(inst.rhs))
         if not isinstance(verdict, Equivalent):
             problems.append(f"omega:{type(verdict).__name__}")
         elif len(verdict.trace) > 6:
@@ -174,22 +162,26 @@ def suite_surface(n: int, seed: int = 0) -> SuiteReport:
     for m in range(1, max(n, 5) + 1):
         s = surface_summary(BraidWord(m))
         checks.append(SuiteCheck(f"empty-{m}", s.genus == 0, f"genus {s.genus}"))
-    flat = 0
+    def euler_two_ways(w: BraidWord) -> bool:
+        r = ribbon_of_braid(w)
+        return euler_characteristic(r) == euler_by_traversal(r)
+
+    flat = euler_ok = 0
     for _ in range(100):
         w = random_word(rng, rng.randint(2, n), 10,
                         kinds=(Kind.POS, Kind.NEG, Kind.SING))
         flat += surface_summary(w).genus == 0
+        euler_ok += euler_two_ways(w)
     checks.append(SuiteCheck("planar-words", flat == 100,
                              f"{flat}/100 crossing-only words have genus 0"))
-    euler_ok = parity_ok = 0
+    parity_ok = 0
     for _ in range(200):
         w = random_word(rng, rng.randint(2, n), 12)
-        r = ribbon_of_braid(w)
         s = surface_summary(w)
-        euler_ok += euler_characteristic(r) == euler_by_traversal(r)
+        euler_ok += euler_two_ways(w)
         parity_ok += (s.euler - s.boundaries) % 2 == 0
-    checks.append(SuiteCheck("euler-two-ways", euler_ok == 200,
-                             f"{euler_ok}/200 weight sums match traversal"))
+    checks.append(SuiteCheck("euler-two-ways", euler_ok == 300,
+                             f"{euler_ok}/300 weight sums match traversal"))
     checks.append(SuiteCheck("euler-boundary-parity", parity_ok == 200,
                              f"{parity_ok}/200 graphs"))
     stable = sum(1 for inst in relation_catalog(n)
@@ -208,6 +200,7 @@ _SUITES = {
     "scalar-preimage": suite_scalar_preimage,
     "surface": suite_surface,
 }
+SUITE_NAMES = tuple(_SUITES)
 
 
 def run_suite(name: str, n: int, seed: int = 0) -> SuiteReport:

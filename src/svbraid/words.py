@@ -24,6 +24,7 @@ import re
 from dataclasses import dataclass
 from enum import IntEnum
 from functools import lru_cache
+from itertools import groupby
 from typing import Iterable, NamedTuple
 
 from .search import SearchStats, bidirectional_search
@@ -257,71 +258,62 @@ class RelationInstance(NamedTuple):
     rhs: BraidWord
 
 
+# The presentation: (family, index pattern, lhs, rhs), each side a template
+# word on slots i and j.  Rows of one family and pattern are instantiated
+# together at each (i, j), so R2's two orientations alternate per i.
+_INDEX_PATTERNS = {
+    "apart": lambda i, j: abs(i - j) >= 2,
+    "above": lambda i, j: j >= i + 2,
+    "same": lambda i, j: j == i,
+    "next": lambda i, j: j == i + 1,
+}
+
+_RELATIONS = (
+    ("R0", "above", "si sj", "sj si"),
+    ("R2", "same", "si si'", ""),
+    ("R2", "same", "si' si", ""),
+    ("R3", "next", "si sj si", "sj si sj"),
+    ("V1", "above", "ri rj", "rj ri"),
+    ("V2", "apart", "si rj", "rj si"),
+    ("V3", "same", "ri ri", ""),
+    ("V4", "next", "ri rj ri", "rj ri rj"),
+    ("V5", "next", "ri sj ri", "rj si rj"),
+    ("S1", "above", "ti tj", "tj ti"),
+    ("S2", "apart", "ti sj", "sj ti"),
+    ("S3", "same", "ti si", "si ti"),
+    ("S4", "next", "si sj ti", "tj si sj"),
+    ("SV1", "apart", "ri tj", "tj ri"),
+    ("SV2", "next", "ri tj ri", "rj ti rj"),
+)
+
+_TEMPLATE_KIND = {"s": Kind.POS, "r": Kind.VIRT, "t": Kind.SING}
+
+
+def _instantiate(template: str, i: int, j: int) -> tuple[Generator, ...]:
+    return tuple(Generator(Kind.NEG if tok.endswith("'") else _TEMPLATE_KIND[tok[0]],
+                           i if tok[1] == "i" else j) for tok in template.split())
+
+
 @lru_cache(maxsize=None)
 def relation_catalog(n: int) -> tuple[RelationInstance, ...]:
-    """Every defining relation instance at n strands.
+    """Every defining relation instance at n strands, read off the table
+    ``_RELATIONS`` in its order.
 
     Families: R0/R2/R3 classical, V1-V5 virtual and mixed, S1-S4 singular
-    and mixed, SV1/SV2 singular-virtual.  Commutation families range over
-    ordered index pairs with |i-j| >= 2 when the two letters differ in
-    kind, unordered pairs when they do not (the swapped statement is the
-    same equation).
+    and mixed, SV1/SV2 singular-virtual.  Each row ranges over one of four
+    index patterns: ordered pairs with |i-j| >= 2 when the two letters
+    differ in kind (V2, S2, SV1), pairs with j >= i+2 when they do not (R0,
+    V1, S1; the swapped statement is the same equation), j = i (R2, V3, S3)
+    and j = i+1 (R3, V4, V5, S4, SV2).
     """
-    if n < 2:
-        return ()
+    pairs = [(i, j) for i in range(1, n) for j in range(1, n)]
     out: list[RelationInstance] = []
-
-    def add(family: str, lhs: Iterable[Generator], rhs: Iterable[Generator]):
-        out.append(RelationInstance(family, BraidWord(n, tuple(lhs)), BraidWord(n, tuple(rhs))))
-
-    idx = range(1, n)
-    for i in idx:
-        for j in idx:
-            if j >= i + 2:
-                add("R0", (sigma(i), sigma(j)), (sigma(j), sigma(i)))
-    for i in idx:
-        add("R2", (sigma(i), sigma(i, -1)), ())
-        add("R2", (sigma(i, -1), sigma(i)), ())
-    for i in idx:
-        if i + 1 < n:
-            add("R3", (sigma(i), sigma(i + 1), sigma(i)),
-                (sigma(i + 1), sigma(i), sigma(i + 1)))
-    for i in idx:
-        for j in idx:
-            if j >= i + 2:
-                add("V1", (rho(i), rho(j)), (rho(j), rho(i)))
-    for i in idx:
-        for j in idx:
-            if abs(i - j) >= 2:
-                add("V2", (sigma(i), rho(j)), (rho(j), sigma(i)))
-    for i in idx:
-        add("V3", (rho(i), rho(i)), ())
-    for i in idx:
-        if i + 1 < n:
-            add("V4", (rho(i), rho(i + 1), rho(i)), (rho(i + 1), rho(i), rho(i + 1)))
-    for i in idx:
-        if i + 1 < n:
-            add("V5", (rho(i), sigma(i + 1), rho(i)), (rho(i + 1), sigma(i), rho(i + 1)))
-    for i in idx:
-        for j in idx:
-            if j >= i + 2:
-                add("S1", (tau(i), tau(j)), (tau(j), tau(i)))
-    for i in idx:
-        for j in idx:
-            if abs(i - j) >= 2:
-                add("S2", (tau(i), sigma(j)), (sigma(j), tau(i)))
-    for i in idx:
-        add("S3", (tau(i), sigma(i)), (sigma(i), tau(i)))
-    for i in idx:
-        if i + 1 < n:
-            add("S4", (sigma(i), sigma(i + 1), tau(i)), (tau(i + 1), sigma(i), sigma(i + 1)))
-    for i in idx:
-        for j in idx:
-            if abs(i - j) >= 2:
-                add("SV1", (rho(i), tau(j)), (tau(j), rho(i)))
-    for i in idx:
-        if i + 1 < n:
-            add("SV2", (rho(i), tau(i + 1), rho(i)), (rho(i + 1), tau(i), rho(i + 1)))
+    for (family, pattern), rows in groupby(_RELATIONS, key=lambda row: row[:2]):
+        sides = [row[2:] for row in rows]
+        keep = _INDEX_PATTERNS[pattern]
+        out += [RelationInstance(family, BraidWord(n, _instantiate(lhs, i, j)),
+                                 BraidWord(n, _instantiate(rhs, i, j)))
+                for i, j in pairs if keep(i, j) for lhs, rhs in sides]
     return tuple(out)
 
 
@@ -393,16 +385,20 @@ def decode_letters(data: str) -> tuple[Generator, ...]:
 
 
 @lru_cache(maxsize=None)
-def _rewrite_rules(n: int, families: frozenset[str] | None = None
-                   ) -> tuple[tuple[str, str, str], ...]:
+def _rewrite_rules(n: int) -> tuple[tuple[str, str, str], ...]:
     rules = []
     for family, lhs, rhs in relation_catalog(n):
-        if families is not None and family not in families:
-            continue
         a, b = encode_letters(lhs.letters), encode_letters(rhs.letters)
         rules.append((family, a, b))
         rules.append((family, b, a))
     return tuple(sorted(set(rules)))
+
+
+@lru_cache(maxsize=None)
+def _straightening_rules(n: int) -> tuple[tuple[str, str, str], ...]:
+    """The rewrite rules whose two sides are both virtual-only words."""
+    return tuple(rule for rule in _rewrite_rules(n)
+                 if all(ord(c) & 3 == Kind.VIRT for c in rule[1] + rule[2]))
 
 
 def _byte_neighbors(state: str, rules, max_len: int):
@@ -511,19 +507,18 @@ def _diagram_normal_trace(w: BraidWord, section: tuple[Generator, ...], budget: 
     the caller's budget.  Returns None when one fails.
     """
     trace: list[TraceStep] = []
+    slide, straighten = _rewrite_rules(w.n), _straightening_rules(w.n)
 
-    def sub_search(start: tuple, goal: tuple, offset: int, families=None) -> bool:
+    def sub_search(start: tuple, goal: tuple, offset: int, rules) -> bool:
         if start == goal:
             return True
-        found = _word_search(start, goal, _rewrite_rules(w.n, families),
+        found = _word_search(start, goal, rules,
                              budget.resolve_max_len(len(start), len(goal)),
                              budget.nodes, offset=offset)
         if isinstance(found, SearchStats):
             return False
         trace.extend(found)
         return True
-
-    virtual_only = frozenset({"V1", "V3", "V4"})
 
     def canonical_virtual(letters: tuple[Generator, ...]) -> tuple[Generator, ...]:
         return virtual_word_of_perm(theta(BraidWord(w.n, letters))).letters
@@ -535,25 +530,43 @@ def _diagram_normal_trace(w: BraidWord, section: tuple[Generator, ...], budget: 
             frame += (x,)
             continue
         c = canonical_virtual(frame)
-        if not sub_search(frame, c, done, virtual_only):
+        if not sub_search(frame, c, done, straighten):
             return None
         k = next(k for k in range(done, len(section)) if section[k].kind != Kind.VIRT)
         a, y = section[done:k], section[k]
         frame = canonical_virtual((rho(y.index),) + a[::-1] + c + (rho(x.index),))
-        if not sub_search(c + (x,), a + (y,) + frame, done):
+        if not sub_search(c + (x,), a + (y,) + frame, done, slide):
             return None
         done = k + 1
-    if not sub_search(frame, section[done:], done, virtual_only):
+    if not sub_search(frame, section[done:], done, straighten):
         return None
     return tuple(trace)
+
+
+def screen(u: BraidWord, v: BraidWord) -> Distinct | None:
+    """The first invariant that separates u and v, as a ``Distinct``, or
+    None: theta, singularity_count, degree, pair_invariants, then the
+    ``rep.burau`` matrix, reported by its first differing entry as
+    (row, col, value) on each side."""
+    from . import gauss
+    from .rep import burau_screen
+
+    for name, fn in (("theta", theta), ("singularity_count", singularity_count),
+                     ("degree", degree)):
+        a, b = fn(u), fn(v)
+        if a != b:
+            return Distinct(name, a, b)
+    pu = gauss.pair_invariants(gauss.gauss_of_braid(u))
+    pv = gauss.pair_invariants(gauss.gauss_of_braid(v))
+    if pu != pv:
+        return Distinct("pair_invariants", pu, pv)
+    return burau_screen(u, v)
 
 
 def equivalent(u: BraidWord, v: BraidWord, budget: Budget | None = None) -> Verdict:
     """Three-valued word problem.
 
-    Distinct needs a separating invariant: theta, singularity_count,
-    degree, pair_invariants, then the ``rep.burau`` matrix, reported by its
-    first differing entry as (row, col, value) on each side.  Equivalent
+    Distinct needs a separating invariant found by ``screen``.  Equivalent
     carries a trace that replays from u to v letter for letter; anything the
     bounded search cannot settle is Unknown.  Both inputs are freely reduced
     first (those deletions are themselves relation applications, so they
@@ -568,18 +581,8 @@ def equivalent(u: BraidWord, v: BraidWord, budget: Budget | None = None) -> Verd
         budget = Budget()
 
     from . import gauss
-    from .rep import burau_screen
 
-    for name, fn in (("theta", theta), ("singularity_count", singularity_count),
-                     ("degree", degree)):
-        a, b = fn(u), fn(v)
-        if a != b:
-            return Distinct(name, a, b)
-    pu = gauss.pair_invariants(gauss.gauss_of_braid(u))
-    pv = gauss.pair_invariants(gauss.gauss_of_braid(v))
-    if pu != pv:
-        return Distinct("pair_invariants", pu, pv)
-    distinct = burau_screen(u, v)
+    distinct = screen(u, v)
     if distinct is not None:
         return distinct
 
@@ -599,8 +602,8 @@ def equivalent(u: BraidWord, v: BraidWord, budget: Budget | None = None) -> Verd
             continue
         section = gauss.braid_of_gauss(g).letters
         ta = _diagram_normal_trace(a, section, budget)
-        tb = _diagram_normal_trace(b, section, budget)
-        if ta is None or tb is None:
+        tb = None if ta is None else _diagram_normal_trace(b, section, budget)
+        if tb is None:
             break
         trace = prefix + ta + tuple(invert_step(s) for s in reversed(tb)) + suffix
         if replay_trace(u, trace).letters != v.letters:

@@ -192,6 +192,52 @@ def test_relation_catalog_families_at_n4():
                    "SV1": 2, "SV2": 2}
 
 
+def test_relation_catalog_order_at_n4():
+    # the order `svb relations` and `svb verify relations` print
+    listing = [(inst.family, print_word(inst.lhs), print_word(inst.rhs))
+               for inst in relation_catalog(4)]
+    assert listing == [
+        ("R0", "s1 s3", "s3 s1"),
+        ("R2", "s1 s1'", "e"),
+        ("R2", "s1' s1", "e"),
+        ("R2", "s2 s2'", "e"),
+        ("R2", "s2' s2", "e"),
+        ("R2", "s3 s3'", "e"),
+        ("R2", "s3' s3", "e"),
+        ("R3", "s1 s2 s1", "s2 s1 s2"),
+        ("R3", "s2 s3 s2", "s3 s2 s3"),
+        ("V1", "r1 r3", "r3 r1"),
+        ("V2", "s1 r3", "r3 s1"),
+        ("V2", "s3 r1", "r1 s3"),
+        ("V3", "r1 r1", "e"),
+        ("V3", "r2 r2", "e"),
+        ("V3", "r3 r3", "e"),
+        ("V4", "r1 r2 r1", "r2 r1 r2"),
+        ("V4", "r2 r3 r2", "r3 r2 r3"),
+        ("V5", "r1 s2 r1", "r2 s1 r2"),
+        ("V5", "r2 s3 r2", "r3 s2 r3"),
+        ("S1", "t1 t3", "t3 t1"),
+        ("S2", "t1 s3", "s3 t1"),
+        ("S2", "t3 s1", "s1 t3"),
+        ("S3", "t1 s1", "s1 t1"),
+        ("S3", "t2 s2", "s2 t2"),
+        ("S3", "t3 s3", "s3 t3"),
+        ("S4", "s1 s2 t1", "t2 s1 s2"),
+        ("S4", "s2 s3 t2", "t3 s2 s3"),
+        ("SV1", "r1 t3", "t3 r1"),
+        ("SV1", "r3 t1", "t1 r3"),
+        ("SV2", "r1 t2 r1", "r2 t1 r2"),
+        ("SV2", "r2 t3 r2", "r3 t2 r3"),
+    ]
+
+
+def test_straightening_rules_are_the_virtual_relations():
+    for n in range(2, 7):
+        rules = words._straightening_rules(n)
+        assert rules == tuple(r for r in words._rewrite_rules(n)
+                              if r[0] in ("V1", "V3", "V4"))
+
+
 def test_relation_sides_share_invariants():
     for n in (2, 3, 4):
         for inst in relation_catalog(n):
@@ -308,6 +354,21 @@ def test_budget_binds_every_search(monkeypatch):
     # the normalisation sub-searches stop at the caller's node budget too
     u, v = parse_word("r4 t1 s3 t3 t2 r1 r2", 5), parse_word("t1 r4 s3 t3 t2 r1 r2", 5)
     verdict = equivalent(u, v, Budget(nodes=10))
+    assert isinstance(verdict, Unknown) and verdict.nodes_explored <= 11
+
+
+def test_failed_normalisation_skips_the_second_word(monkeypatch):
+    calls = []
+    normal = words._diagram_normal_trace
+
+    def recording(w, section, budget):
+        calls.append(print_word(w))
+        return normal(w, section, budget)
+
+    monkeypatch.setattr(words, "_diagram_normal_trace", recording)
+    u, v = parse_word("r4 t1 s3 t3 t2 r1 r2", 5), parse_word("t1 r4 s3 t3 t2 r1 r2", 5)
+    verdict = equivalent(u, v, Budget(nodes=10))
+    assert calls == ["r4 t1 s3 t3 t2 r1 r2"]
     assert isinstance(verdict, Unknown) and verdict.nodes_explored <= 11
 
 
