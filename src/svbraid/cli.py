@@ -47,8 +47,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--budget", type=int, default=Budget.nodes,
                    help="node budget of every search, normalisation "
                    "sub-searches included (default %(default)s)")
-    p.add_argument("--max-len", type=int, default=None,
-                   help="length cap for intermediate words of every search")
     add("to-gauss", "Gauss diagram of a word", words=1)
     p = add("from-gauss", "braid word realizing a Gauss diagram")
     p.add_argument("diagram", help="diagram as JSON: "
@@ -99,7 +97,7 @@ def _json_value(value):
 def _cmd_equiv(args) -> tuple[int, str]:
     u = parse_word(args.left, args.n)
     v = parse_word(args.right, args.n)
-    verdict = equivalent(u, v, Budget(args.budget, args.max_len))
+    verdict = equivalent(u, v, Budget(args.budget))
     if isinstance(verdict, Equivalent):
         payload = {"verdict": "equivalent", "moves": len(verdict.trace),
                    "trace": [{"label": s.label, "position": s.position}

@@ -36,6 +36,8 @@ class FormalSum:
             raise ValueError("strand count mismatch")
         if any(g.kind == Kind.SING for g in word.letters):
             raise ValueError("formal sums hold singularity-free words only")
+        if type(coeff) is not int:
+            raise ValueError(f"coefficient must be an int, got {coeff!r}")
         new = self._terms.get(word, 0) + coeff
         if new:
             self._terms[word] = new
@@ -143,7 +145,7 @@ def formal_sum_to_dicts(f: FormalSum) -> list[dict]:
 
 
 def formal_sum_from_dicts(data: Iterable[dict], n: int) -> FormalSum:
-    out = FormalSum(n)
-    for row in data:
-        out.add(parse_word(row["word"], n), row["coeff"])
-    return out
+    try:
+        return FormalSum(n, ((parse_word(row["word"], n), row["coeff"]) for row in data))
+    except (KeyError, TypeError) as exc:
+        raise ValueError(f"malformed formal sum data: {exc}") from exc

@@ -29,7 +29,7 @@ from typing import Iterable, NamedTuple
 from .rep import burau_screen
 from .search import SearchStats, bidirectional_search
 from .words import (
-    BraidWord, Budget, Distinct, Equivalent, Kind, TraceStep, Unknown, Verdict,
+    SLACK, BraidWord, Budget, Distinct, Equivalent, Kind, TraceStep, Unknown, Verdict,
     apply_step, identity_perm, invert_perm, compose_perms, is_perm, invert_step,
     mirror, relation_catalog, rho, sigma, tau, virtual_word_of_perm,
 )
@@ -286,7 +286,7 @@ def omega_equivalent(g: GaussWord, h: GaussWord) -> Verdict:
     """Three-valued omega-move equivalence of diagrams, same shape as the
     word problem: invariant screen, then commutation-only canonicalisation,
     then the ``rep.burau`` matrices of the sections, then bidirectional
-    search over single moves within the limits of ``Budget()``."""
+    search over single moves under the fixed caps ``Budget.nodes`` and ``SLACK``."""
     if g.n != h.n:
         raise ValueError("strand counts differ")
     if g.perm != h.perm:
@@ -303,11 +303,10 @@ def omega_equivalent(g: GaussWord, h: GaussWord) -> Verdict:
     if distinct is not None:
         return distinct
 
-    budget = Budget()
-    max_arrows = budget.resolve_max_len(len(g.arrows), len(h.arrows))
+    max_arrows = max(len(g.arrows), len(h.arrows)) + SLACK
     found = bidirectional_search(
         g.arrows, h.arrows, lambda state: _omega_moves(state, g.n, max_arrows),
-        max_nodes=budget.nodes)
+        max_nodes=Budget.nodes)
     if isinstance(found, SearchStats):
         return Unknown(*found)
     trace = tuple(TraceStep(*move) for move in found)

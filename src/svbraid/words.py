@@ -8,7 +8,7 @@ strand slots i, i+1 (1 <= i <= n-1):
     r<i>     virtual crossing
     t<i>     singular crossing
 
-Tokens are separated by single spaces; the empty word is written ``e``.
+Tokens are separated by whitespace; the empty word is written ``e``.
 Printing always uses the apostrophe form and single spaces, so
 ``parse_word(print_word(w), w.n) == w`` holds letter for letter.
 
@@ -150,10 +150,10 @@ def print_word(w: BraidWord) -> str:
 
 
 def parse_word(text: str, n: int) -> BraidWord:
-    """Parse the space-separated token form; ``e`` alone is the empty word."""
+    """Parse whitespace-separated tokens; ``e`` alone is the empty word."""
     if n < 2:
         raise ValueError(f"strand count must be at least 2 to parse, got {n}")
-    spans = [(m.group(), m.start() + 1) for m in re.finditer(r"[^ ]+", text)]
+    spans = [(m.group(), m.start() + 1) for m in re.finditer(r"\S+", text)]
     if not spans:
         raise ParseError("empty input; the empty word is written 'e'", 1)
     if any(tok == "e" for tok, _ in spans):
@@ -433,16 +433,29 @@ def rewrite_neighbors(w: BraidWord, max_len: int) -> tuple[tuple[TraceStep, Brai
     return tuple(out)
 
 
+SLACK = 4  # a word search first caps words at the longer end word plus SLACK
+
+
 def _word_search(start: tuple[Generator, ...], goal: tuple[Generator, ...],
-                 rules, max_len: int, max_nodes: int, offset: int = 0):
+                 rules, max_nodes: int, offset: int = 0):
     """Bidirectional search between two letter sequences under ``rules``:
-    the moves as TraceSteps shifted by ``offset``, or the SearchStats."""
-    found = bidirectional_search(
-        encode_letters(start), encode_letters(goal),
-        lambda state: _byte_neighbors(state, rules, max_len),
-        max_nodes=max_nodes)
-    if isinstance(found, SearchStats):
-        return found
+    the moves as TraceSteps shifted by ``offset``, or the SearchStats of all
+    rounds once the node budget is spent.  A round that exhausts the words
+    under the length cap widens it by 2: no relation changes length parity."""
+    cap, spent = max(len(start), len(goal)) + SLACK, 0
+    a, b = encode_letters(start), encode_letters(goal)
+
+    def neighbors(state: str):
+        return _byte_neighbors(state, rules, cap)
+
+    while True:
+        found = bidirectional_search(a, b, neighbors, max_nodes=max_nodes - spent)
+        if not isinstance(found, SearchStats):
+            break
+        spent += found.nodes
+        if spent >= max_nodes:
+            return found._replace(nodes=spent)
+        cap += 2
     return tuple(TraceStep(label, p + offset, decode_letters(pat), decode_letters(rep))
                  for label, p, pat, rep in found)
 
@@ -451,24 +464,14 @@ def _word_search(start: tuple[Generator, ...], goal: tuple[Generator, ...],
 
 @dataclass(frozen=True)
 class Budget:
-    """Search limits: ``nodes`` caps stored states and ``max_len`` caps the
-    length of intermediate words (by default the longer end word plus 4).
-    They bind every search, the diagram normalisation sub-searches
-    included."""
+    """Search limit: ``nodes`` caps the stored states of every search, the
+    diagram normalisation sub-searches included."""
 
     nodes: int = 200_000
-    max_len: int | None = None
 
     def __post_init__(self):
-        if self.nodes <= 0:
-            raise ValueError("node budget must be positive")
-        if self.max_len is not None and self.max_len <= 0:
-            raise ValueError("max_len must be positive")
-
-    def resolve_max_len(self, *lengths: int) -> int:
-        if self.max_len is not None:
-            return max(self.max_len, *lengths)
-        return max(lengths) + 4
+        if type(self.nodes) is not int or self.nodes <= 0:
+            raise ValueError(f"node budget must be a positive int, got {self.nodes!r}")
 
 
 @dataclass(frozen=True)
@@ -512,9 +515,7 @@ def _diagram_normal_trace(w: BraidWord, section: tuple[Generator, ...], budget: 
     def sub_search(start: tuple, goal: tuple, offset: int, rules) -> bool:
         if start == goal:
             return True
-        found = _word_search(start, goal, rules,
-                             budget.resolve_max_len(len(start), len(goal)),
-                             budget.nodes, offset=offset)
+        found = _word_search(start, goal, rules, budget.nodes, offset=offset)
         if isinstance(found, SearchStats):
             return False
         trace.extend(found)
@@ -563,7 +564,7 @@ def screen(u: BraidWord, v: BraidWord) -> Distinct | None:
     return burau_screen(u, v)
 
 
-def equivalent(u: BraidWord, v: BraidWord, budget: Budget | None = None) -> Verdict:
+def equivalent(u: BraidWord, v: BraidWord, budget: Budget = Budget()) -> Verdict:
     """Three-valued word problem.
 
     Distinct needs a separating invariant found by ``screen``.  Equivalent
@@ -577,8 +578,6 @@ def equivalent(u: BraidWord, v: BraidWord, budget: Budget | None = None) -> Verd
     """
     if u.n != v.n:
         raise ValueError("strand counts differ")
-    if budget is None:
-        budget = Budget()
 
     from . import gauss
 
@@ -610,8 +609,7 @@ def equivalent(u: BraidWord, v: BraidWord, budget: Budget | None = None) -> Verd
             raise AssertionError("normalisation produced a trace that does not replay")
         return Equivalent(trace)
 
-    found = _word_search(ur.letters, vr.letters, _rewrite_rules(u.n),
-                         budget.resolve_max_len(len(u), len(v)), budget.nodes)
+    found = _word_search(ur.letters, vr.letters, _rewrite_rules(u.n), budget.nodes)
     if isinstance(found, SearchStats):
         return Unknown(*found)
     trace = trace_u + found + tail

@@ -122,6 +122,16 @@ def test_dict_roundtrip():
     assert formal_sum_from_dicts(rows, 3) == fs
 
 
+def test_formal_sum_rejects_malformed_data():
+    for data in ([{"word": "s1"}], 5, [{"coeff": 1, "word": 7}],
+                 [{"coeff": 1.5, "word": "s1"}], [{"coeff": True, "word": "s1"}]):
+        with pytest.raises(ValueError):
+            formal_sum_from_dicts(data, 3)
+    for coeff in (1.5, True, "1"):
+        with pytest.raises(ValueError):
+            FormalSum(2).add(parse_word("s1", 2), coeff)
+
+
 def test_scalar_preimage_examples():
     assert scalar_preimage_check(parse_word("e", 2))
     assert scalar_preimage_check(parse_word("s1 s1'", 2))

@@ -55,6 +55,14 @@ def test_parse_errors():
         parse_word("t1'", 3)
 
 
+def test_parse_splits_on_any_whitespace():
+    assert parse_word("s1\ts2", 3) == parse_word("s1 s2", 3)
+    assert parse_word("\nr1 \n t2\t\n", 3) == parse_word("r1 t2", 3)
+    with pytest.raises(ParseError) as exc:
+        parse_word("s1\tx3", 4)
+    assert exc.value.position == 4
+
+
 def test_word_container_basics():
     w = parse_word("s1 t2", 3)
     assert len(w) == 2
@@ -96,14 +104,16 @@ def test_mirror_reverses_and_swaps_signs():
 
 def test_mirrored_relations_follow_from_the_catalog():
     # mirror is an anti-automorphism, so the mirror of each relation that
-    # the diagram moves are read from is proved from the catalog itself
-    for inst in relation_catalog(3):
-        if inst.family not in ("R2", "R3", "S3", "S4"):
-            continue
-        u, v = mirror(inst.lhs), mirror(inst.rhs)
-        verdict = equivalent(u, v, Budget(max_len=9))
-        assert isinstance(verdict, Equivalent), (inst, verdict)
-        assert replay_trace(u, verdict.trace) == v
+    # the diagram moves are read from is proved from the catalog itself,
+    # at the default budget: the word search widens its own length cap
+    for n in (3, 4):
+        for inst in relation_catalog(n):
+            if inst.family not in ("R2", "R3", "S3", "S4"):
+                continue
+            u, v = mirror(inst.lhs), mirror(inst.rhs)
+            verdict = equivalent(u, v)
+            assert isinstance(verdict, Equivalent), (inst, verdict)
+            assert replay_trace(u, verdict.trace) == v
 
 
 def test_perm_helpers():
@@ -338,9 +348,9 @@ def test_budget_binds_every_search(monkeypatch):
     seen = []
     search = words._word_search
 
-    def recording(start, goal, rules, max_len, max_nodes, *args, **kwargs):
-        seen.append((max(len(start), len(goal)), max_len, max_nodes))
-        return search(start, goal, rules, max_len, max_nodes, *args, **kwargs)
+    def recording(start, goal, rules, max_nodes, *args, **kwargs):
+        seen.append(max_nodes)
+        return search(start, goal, rules, max_nodes, *args, **kwargs)
 
     monkeypatch.setattr(words, "_word_search", recording)
     u = parse_word("r2 r1 s2' r1 r2 r1", 3)
@@ -348,9 +358,7 @@ def test_budget_binds_every_search(monkeypatch):
     assert isinstance(equivalent(u, braid_of_gauss(gauss_of_braid(u)), budget),
                       Equivalent)
     assert len(seen) >= 2
-    for longest, max_len, max_nodes in seen:
-        assert max_nodes == budget.nodes
-        assert max_len == budget.resolve_max_len(longest)
+    assert all(max_nodes == budget.nodes for max_nodes in seen)
     # the normalisation sub-searches stop at the caller's node budget too
     u, v = parse_word("r4 t1 s3 t3 t2 r1 r2", 5), parse_word("t1 r4 s3 t3 t2 r1 r2", 5)
     verdict = equivalent(u, v, Budget(nodes=10))
@@ -387,8 +395,18 @@ def test_equivalent_unknown_reports_effort():
     assert isinstance(verdict, Distinct) and verdict.invariant == "burau"
 
 
+def test_every_deepening_round_counts_against_the_budget():
+    # both pairs exhaust their first length cap with nodes to spare, so the
+    # search widens the cap and spends the whole budget before Unknown
+    for left, right, nodes in (("s1' s2' s1'", "s2' s1' s2'", 900),
+                               ("r1 s2 s1", "s2 s1 r2", 3000)):
+        verdict = equivalent(parse_word(left, 3), parse_word(right, 3), Budget(nodes=nodes))
+        assert isinstance(verdict, Unknown), verdict
+        assert verdict.nodes_explored == nodes + 1
+
+
 def test_budget_validation():
-    with pytest.raises(ValueError):
-        Budget(nodes=0)
-    with pytest.raises(ValueError):
-        Budget(max_len=0)
+    # a positive int only: a bool, a float or a string is rejected
+    for nodes in (0, -1, True, 2.5, "5"):
+        with pytest.raises(ValueError):
+            Budget(nodes=nodes)
