@@ -26,12 +26,11 @@ from functools import lru_cache
 from itertools import permutations
 from typing import Iterable, NamedTuple
 
-from .rep import burau_screen
 from .search import SearchStats, bidirectional_search
 from .words import (
-    SLACK, BraidWord, Budget, Distinct, Equivalent, Kind, TraceStep, Unknown, Verdict,
+    SLACK, BraidWord, Budget, Equivalent, Kind, TraceStep, Unknown, Verdict,
     apply_step, identity_perm, invert_perm, compose_perms, is_perm, invert_step,
-    mirror, relation_catalog, rho, sigma, tau, virtual_word_of_perm,
+    mirror, relation_catalog, rho, screen, sigma, tau, virtual_word_of_perm,
 )
 
 
@@ -284,22 +283,16 @@ def replay_omega_trace(g: GaussWord, trace: Iterable[TraceStep]) -> GaussWord:
 
 def omega_equivalent(g: GaussWord, h: GaussWord) -> Verdict:
     """Three-valued omega-move equivalence of diagrams, same shape as the
-    word problem: invariant screen, then commutation-only canonicalisation,
-    then the ``rep.burau`` matrices of the sections, then bidirectional
-    search over single moves under the fixed caps ``Budget.nodes`` and ``SLACK``."""
+    word problem: commutation-only canonicalisation, then ``words.screen``
+    on the two sections, then bidirectional search over single moves under
+    the fixed caps ``Budget.nodes`` and ``SLACK``."""
     if g.n != h.n:
         raise ValueError("strand counts differ")
-    if g.perm != h.perm:
-        return Distinct("perm", g.perm, h.perm)
-    pg, ph = pair_invariants(g), pair_invariants(h)
-    if pg != ph:
-        return Distinct("pair_invariants", pg, ph)
-
     cg, trace_g = canonical_form_trace(g)
     ch, trace_h = canonical_form_trace(h)
-    if cg.arrows == ch.arrows:
+    if cg == ch:
         return Equivalent(trace_g + tuple(invert_step(s) for s in reversed(trace_h)))
-    distinct = burau_screen(braid_of_gauss(g), braid_of_gauss(h))
+    distinct = screen(braid_of_gauss(g), braid_of_gauss(h))
     if distinct is not None:
         return distinct
 

@@ -4,26 +4,29 @@ Each letter acts as the identity outside a 2x2 block at slots (i, i+1):
 
     s<i>    [[1-t, t], [1, 0]]
     s<i>'   [[0, 1], [1/t, 1-1/t]]           the inverse of s<i>
-    r<i>    [[0, 1], [1, 0]]
+    r<i>    [[0, u], [1/u, 0]]
     t<i>    M(s<i>) - M(s<i>') + I
 
-This is the virtual Burau representation (Vershinin, JKTR 2001) composed
-with the desingularization, which sends a singular crossing to a
-combination of the two classical ones.  Any combination a*M(s) + b*M(s')
-+ c*I satisfies every defining relation; a + b + c = 1 keeps the image the
-identity off the block, so a letter changes only two columns.
+This is the two-parameter virtual Burau representation (Vershinin, JKTR
+2001; Bardakov 2004) composed with the desingularization, which sends a
+singular crossing to a combination of the two classical ones.  Any
+combination a*M(s) + b*M(s') + c*I satisfies every defining relation;
+a + b + c = 1 keeps the image the identity off the block, so a letter
+changes only two columns.  As u != 1, forbidden moves such as
+r1 s2 s1 / s2 s1 r2 get different matrices.
 
-Entries live in Z/p with p = 2**61 - 1 and t = 3.  Evaluating at t = 3 is a
-ring homomorphism Z[t, 1/t] -> Z/p, so words whose matrices differ here
-differ as Laurent matrices and are not equivalent.
+Entries live in Z/p with p = 2**61 - 1, t = 3 and u = 5.  Evaluating there
+is a ring homomorphism Z[t, 1/t, u, 1/u] -> Z/p, so words whose matrices
+differ here differ as Laurent matrices and are not equivalent.
 """
 
 from __future__ import annotations
 
-from .words import BraidWord, Distinct, Kind
+from .words import BraidWord, Kind
 
 P = (1 << 61) - 1
 T = 3
+U = 5
 _T_INV = pow(T, P - 2, P)
 
 # (a, b, c, d): right-multiplying by the block [[a, b], [c, d]] sends
@@ -31,6 +34,7 @@ _T_INV = pow(T, P - 2, P)
 _BLOCKS = {
     Kind.POS: ((1 - T) % P, T, 1, 0),
     Kind.NEG: (0, 1, _T_INV, (1 - _T_INV) % P),
+    Kind.VIRT: (0, U, pow(U, P - 2, P), 0),
     Kind.SING: ((2 - T) % P, (T - 1) % P, (1 - _T_INV) % P, _T_INV),
 }
 
@@ -43,21 +47,8 @@ def burau(w: BraidWord) -> tuple[tuple[int, ...], ...]:
     for kind, index in w.letters:
         i = index - 1
         x, y = cols[i], cols[i + 1]
-        if kind == Kind.VIRT:
-            cols[i], cols[i + 1] = y, x
-            continue
         a, b, c, d = _BLOCKS[kind]
         cols[i] = [(a * xr + c * yr) % P for xr, yr in zip(x, y)]
         cols[i + 1] = [(b * xr + d * yr) % P for xr, yr in zip(x, y)]
     return tuple(zip(*cols))
 
-
-def burau_screen(u: BraidWord, v: BraidWord) -> Distinct | None:
-    """``Distinct("burau", (row, col, a), (row, col, b))`` at the first entry
-    (1-based) where the matrices of u and v differ, or None."""
-    mu, mv = burau(u), burau(v)
-    if mu == mv:
-        return None
-    r, c = next((r, c) for r in range(u.n) for c in range(u.n)
-                if mu[r][c] != mv[r][c])
-    return Distinct("burau", (r + 1, c + 1, mu[r][c]), (r + 1, c + 1, mv[r][c]))

@@ -31,6 +31,8 @@ def bidirectional_search(start: Hashable, goal: Hashable, neighbors: Callable,
     """
     if start == goal:
         return []
+    if max_nodes < 2:
+        return SearchStats(2, 0, 0)
 
     seen_f: dict = {start: None}
     seen_b: dict = {goal: None}

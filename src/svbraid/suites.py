@@ -17,7 +17,7 @@ from .pure import verify_sp_relations
 from .surface import (euler_by_traversal, euler_characteristic, ribbon_of_braid,
                       surface_summary)
 from .words import (BraidWord, Equivalent, Generator, Kind, degree,
-                    free_reduce, print_word, relation_catalog, rho, screen,
+                    free_reduce, print_word, relation_catalog, rho,
                     sigma, singularity_count, tau)
 
 class SuiteCheck(NamedTuple):
@@ -69,16 +69,12 @@ def random_gauss(rng: random.Random, n: int, max_arrows: int) -> GaussWord:
 def suite_relations(n: int, seed: int = 0) -> SuiteReport:
     checks = []
     for k, inst in enumerate(relation_catalog(n)):
-        distinct = screen(inst.lhs, inst.rhs)
-        problems = [] if distinct is None else [distinct.invariant]
         verdict = omega_equivalent(gauss_of_braid(inst.lhs), gauss_of_braid(inst.rhs))
-        if not isinstance(verdict, Equivalent):
-            problems.append(f"omega:{type(verdict).__name__}")
-        elif len(verdict.trace) > 6:
-            problems.append(f"omega:{len(verdict.trace)} moves")
+        problem = (type(verdict).__name__ if not isinstance(verdict, Equivalent)
+                   else f"{len(verdict.trace)} moves" if len(verdict.trace) > 6 else None)
         detail = (f"{print_word(inst.lhs)} == {print_word(inst.rhs)}"
-                  if not problems else "mismatch: " + ",".join(problems))
-        checks.append(SuiteCheck(f"{inst.family}-{k:03d}", not problems, detail))
+                  if problem is None else f"mismatch: omega:{problem}")
+        checks.append(SuiteCheck(f"{inst.family}-{k:03d}", problem is None, detail))
     return SuiteReport("relations", n, seed, tuple(checks))
 
 

@@ -24,7 +24,7 @@ import re
 from dataclasses import dataclass
 from enum import IntEnum
 from functools import lru_cache
-from itertools import groupby
+from itertools import groupby, product
 from typing import Iterable, NamedTuple
 
 from .search import SearchStats, bidirectional_search
@@ -547,10 +547,11 @@ def _diagram_normal_trace(w: BraidWord, section: tuple[Generator, ...], budget: 
 def screen(u: BraidWord, v: BraidWord) -> Distinct | None:
     """The first invariant that separates u and v, as a ``Distinct``, or
     None: theta, singularity_count, degree, pair_invariants, then the
-    ``rep.burau`` matrix, reported by its first differing entry as
-    (row, col, value) on each side."""
+    ``rep.burau`` matrix at t = 3, u = 5, reported by its first differing
+    entry as (row, col, value) on each side.  ``gauss.omega_equivalent``
+    screens two diagrams through their sections."""
     from . import gauss
-    from .rep import burau_screen
+    from .rep import burau
 
     for name, fn in (("theta", theta), ("singularity_count", singularity_count),
                      ("degree", degree)):
@@ -561,7 +562,11 @@ def screen(u: BraidWord, v: BraidWord) -> Distinct | None:
     pv = gauss.pair_invariants(gauss.gauss_of_braid(v))
     if pu != pv:
         return Distinct("pair_invariants", pu, pv)
-    return burau_screen(u, v)
+    mu, mv = burau(u), burau(v)
+    for r, c in product(range(u.n), repeat=2):
+        if mu[r][c] != mv[r][c]:
+            return Distinct("burau", (r + 1, c + 1, mu[r][c]), (r + 1, c + 1, mv[r][c]))
+    return None
 
 
 def equivalent(u: BraidWord, v: BraidWord, budget: Budget = Budget()) -> Verdict:
@@ -593,9 +598,10 @@ def equivalent(u: BraidWord, v: BraidWord, budget: Budget = Budget()) -> Verdict
 
     # Words with equal Gauss diagrams differ only by virtual rerouting;
     # normalising both to the section of the shared diagram settles them
-    # without a global search.
-    for a, b, prefix, suffix in (
-            (ur, vr, trace_u, tail), (u, v, (), ())):
+    # without a global search.  The unreduced words get an attempt of
+    # their own only when free reduction changed one of them.
+    unreduced = ((u, v, (), ()),) if trace_u or trace_v else ()
+    for a, b, prefix, suffix in ((ur, vr, trace_u, tail),) + unreduced:
         g = gauss.gauss_of_braid(a)
         if g != gauss.gauss_of_braid(b):
             continue

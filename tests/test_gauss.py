@@ -11,6 +11,7 @@ from svbraid import (
 )
 from svbraid import gauss
 from svbraid.suites import random_gauss, random_word
+from svbraid.words import screen
 
 
 def test_gauss_of_braid_examples():
@@ -151,9 +152,14 @@ def test_omega_equivalent_distinct_cases():
     g = gauss_of_braid(parse_word("r1", 2))
     h = gauss_of_braid(parse_word("e", 2))
     v = omega_equivalent(g, h)
-    assert isinstance(v, Distinct) and v.invariant == "perm"
+    assert v == Distinct("theta", g.perm, h.perm)
+    # the sections are screened in words.screen's order
     g = gauss_of_braid(parse_word("s1", 2))
     h = gauss_of_braid(parse_word("s1'", 2))
+    v = omega_equivalent(g, h)
+    assert isinstance(v, Distinct) and v.invariant == "degree"
+    g = gauss_of_braid(parse_word("s1", 3))
+    h = gauss_of_braid(parse_word("s1' s2 s2", 3))
     v = omega_equivalent(g, h)
     assert isinstance(v, Distinct) and v.invariant == "pair_invariants"
 
@@ -167,6 +173,20 @@ def test_omega_equivalent_separates_by_burau():
     assert isinstance(v, Distinct) and v.invariant == "burau"
     (r, c, a), (r2, c2, b) = v.left, v.right
     assert (r, c) == (r2, c2) and a != b
+
+
+def test_omega_equivalent_screens_the_sections():
+    # a pair of diagrams is told apart exactly as the pair of their sections
+    rng = random.Random(13)
+    separated = 0
+    for _ in range(300):
+        g, h = random_gauss(rng, 3, 4), random_gauss(rng, 3, 4)
+        distinct = screen(braid_of_gauss(g), braid_of_gauss(h))
+        if distinct is None or canonical_form(g) == canonical_form(h):
+            continue
+        assert omega_equivalent(g, h) == distinct, (g, h)
+        separated += 1
+    assert separated > 250
 
 
 def test_omega_cancels_opposite_pair():

@@ -18,7 +18,7 @@ def test_catalog_relations_preserve_burau():
 
 def test_burau_of_small_words():
     assert burau(BraidWord(3)) == ((1, 0, 0), (0, 1, 0), (0, 0, 1))
-    assert burau(parse_word("r2", 3)) == ((1, 0, 0), (0, 0, 1), (0, 1, 0))
+    assert burau(parse_word("r2", 3)) == ((1, 0, 0), (0, 0, 5), (0, pow(5, P - 2, P), 0))
     assert burau(parse_word("s1", 2)) == ((P - 2, 3), (1, 0))
     assert burau(parse_word("s1 s1'", 2)) == burau(BraidWord(2))
 
@@ -52,6 +52,21 @@ def test_burau_screen_settles_without_search(monkeypatch):
     (r, c, a), (r2, c2, b) = verdict.left, verdict.right
     assert (r, c) == (r2, c2) and a != b
     assert burau(u)[r - 1][c - 1] == a and burau(v)[r - 1][c - 1] == b
+
+
+def test_burau_separates_the_forbidden_move(monkeypatch):
+    # F1, r_i s_{i+1} s_i / s_{i+1} s_i r_{i+1}, holds in the welded quotient
+    # only: the virtual block [[0, u], [1/u, 0]] tells the sides apart
+    def no_search(*args, **kwargs):
+        raise AssertionError("search ran")
+
+    monkeypatch.setattr(words, "_word_search", no_search)
+    for n in (3, 4, 5):
+        for i in range(1, n - 1):
+            u = parse_word(f"r{i} s{i + 1} s{i}", n)
+            v = parse_word(f"s{i + 1} s{i} r{i + 1}", n)
+            verdict = equivalent(u, v)
+            assert isinstance(verdict, Distinct) and verdict.invariant == "burau", (n, i)
 
 
 def test_omega_moves_preserve_burau():

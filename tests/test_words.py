@@ -399,10 +399,23 @@ def test_every_deepening_round_counts_against_the_budget():
     # both pairs exhaust their first length cap with nodes to spare, so the
     # search widens the cap and spends the whole budget before Unknown
     for left, right, nodes in (("s1' s2' s1'", "s2' s1' s2'", 900),
-                               ("r1 s2 s1", "s2 s1 r2", 3000)):
+                               ("s2 s1 t2", "t1 s2 s1", 3000)):
         verdict = equivalent(parse_word(left, 3), parse_word(right, 3), Budget(nodes=nodes))
         assert isinstance(verdict, Unknown), verdict
         assert verdict.nodes_explored == nodes + 1
+
+
+def test_budget_binds_to_one_node_over():
+    # a search left fewer than 2 nodes stores neither end: at 1 node, and at
+    # a deepening round left with 1 node, the verdict overshoots by 1 only
+    for left, right, nodes in (("s1 s2 s1", "s2 s1 s2", 1),
+                               ("s1' s2' s1'", "s2' s1' s2'", 1),
+                               ("s2 s1 t2", "t1 s2 s1", 1),
+                               ("s1' s2' s1'", "s2' s1' s2'", 807),
+                               ("s2 s1 t2", "t1 s2 s1", 1097)):
+        verdict = equivalent(parse_word(left, 3), parse_word(right, 3), Budget(nodes=nodes))
+        assert isinstance(verdict, Unknown), verdict
+        assert verdict.nodes_explored == nodes + 1, (left, nodes)
 
 
 def test_budget_validation():
