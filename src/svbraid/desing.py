@@ -10,6 +10,7 @@ though the two middle ones cancel in the group.
 
 from __future__ import annotations
 
+from itertools import product
 from typing import Iterable, Iterator
 
 from .words import (
@@ -76,23 +77,18 @@ def eta_hat_expansion(w: BraidWord) -> Iterator[tuple[int, BraidWord]]:
     """Signed resolution branches, before any merging.
 
     Singular letters are resolved left to right, positive branch first, so
-    branch k of 2^d reads its bits most-significant-first.  The sign is the
-    parity of negative choices.  Exactly 2^d branches for d singularities.
+    the branches come in ``itertools.product`` order over the per-letter
+    choices.  The sign is the parity of negative choices.  Exactly 2^d
+    branches for d singularities.
     """
-    spots = [i for i, g in enumerate(w.letters) if g.kind == Kind.SING]
-    d = len(spots)
-    if d > MAX_SINGULARITIES:
+    spots = [p for p, g in enumerate(w.letters) if g.kind == Kind.SING]
+    if len(spots) > MAX_SINGULARITIES:
         raise ValueError(
-            f"{d} singular letters exceeds the expansion cap {MAX_SINGULARITIES}")
-    base = list(w.letters)
-    for bits in range(1 << d):
-        letters = base[:]
-        negatives = 0
-        for j, i in enumerate(spots):
-            negative = (bits >> (d - 1 - j)) & 1
-            negatives += negative
-            letters[i] = sigma(w.letters[i].index, -1 if negative else 1)
-        yield (-1) ** negatives, BraidWord(w.n, tuple(letters))
+            f"{len(spots)} singular letters exceeds the expansion cap {MAX_SINGULARITIES}")
+    choices = [(sigma(g.index), sigma(g.index, -1)) if g.kind == Kind.SING else (g,)
+               for g in w.letters]
+    for letters in product(*choices):
+        yield (-1) ** sum(letters[p].kind == Kind.NEG for p in spots), BraidWord(w.n, letters)
 
 
 def eta_hat(w: BraidWord) -> FormalSum:

@@ -45,14 +45,8 @@ class SuiteReport:
 def random_word(rng: random.Random, n: int, max_len: int,
                 kinds: tuple[Kind, ...] = (Kind.POS, Kind.NEG, Kind.VIRT, Kind.SING),
                 ) -> BraidWord:
-    letters = []
-    for _ in range(rng.randint(0, max_len)):
-        kind = rng.choice(kinds)
-        index = rng.randint(1, n - 1)
-        sign = -1 if kind == Kind.NEG else 1
-        letters.append({Kind.POS: sigma(index), Kind.NEG: sigma(index, sign),
-                        Kind.VIRT: rho(index), Kind.SING: tau(index)}[kind])
-    return BraidWord(n, tuple(letters))
+    return BraidWord(n, tuple(Generator(rng.choice(kinds), rng.randint(1, n - 1))
+                              for _ in range(rng.randint(0, max_len))))
 
 
 def random_gauss(rng: random.Random, n: int, max_arrows: int) -> GaussWord:

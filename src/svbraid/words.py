@@ -548,8 +548,9 @@ def screen(u: BraidWord, v: BraidWord) -> Distinct | None:
     """The first invariant that separates u and v, as a ``Distinct``, or
     None: theta, singularity_count, degree, pair_invariants, then the
     ``rep.burau`` matrix at t = 3, u = 5, reported by its first differing
-    entry as (row, col, value) on each side.  ``gauss.omega_equivalent``
-    screens two diagrams through their sections."""
+    entry as (row, col, value) on each side.  The matrices are built on
+    the strands the words touch only; both are the identity off them.
+    ``gauss.omega_equivalent`` screens two diagrams through their sections."""
     from . import gauss
     from .rep import burau
 
@@ -562,8 +563,11 @@ def screen(u: BraidWord, v: BraidWord) -> Distinct | None:
     pv = gauss.pair_invariants(gauss.gauss_of_braid(v))
     if pu != pv:
         return Distinct("pair_invariants", pu, pv)
+    k = max((g.index + 1 for g in u.letters + v.letters), default=1)
+    if k < u.n:
+        u, v = BraidWord(k, u.letters), BraidWord(k, v.letters)
     mu, mv = burau(u), burau(v)
-    for r, c in product(range(u.n), repeat=2):
+    for r, c in product(range(k), repeat=2):
         if mu[r][c] != mv[r][c]:
             return Distinct("burau", (r + 1, c + 1, mu[r][c]), (r + 1, c + 1, mv[r][c]))
     return None
@@ -572,14 +576,14 @@ def screen(u: BraidWord, v: BraidWord) -> Distinct | None:
 def equivalent(u: BraidWord, v: BraidWord, budget: Budget = Budget()) -> Verdict:
     """Three-valued word problem.
 
-    Distinct needs a separating invariant found by ``screen``.  Equivalent
-    carries a trace that replays from u to v letter for letter; anything the
-    bounded search cannot settle is Unknown.  Both inputs are freely reduced
-    first (those deletions are themselves relation applications, so they
-    join the trace).  Words with equal Gauss diagrams are both normalised
-    to the section ``braid_of_gauss(gauss_of_braid(w))`` of that diagram
-    instead of searched globally; a word that is its own section needs no
-    search at all.
+    Distinct needs a separating invariant found by ``screen``, which runs
+    first.  Otherwise both words are freely reduced (those deletions are
+    themselves relation applications, so they join the trace).  Reduced
+    words with equal Gauss diagrams are both normalised to the section
+    ``braid_of_gauss`` of that diagram; a word that is its own section
+    needs no search at all.  Any other pair, or one whose normalisation
+    fails, goes to the global word search, and is Unknown when that fails.
+    Every Equivalent trace is replayed from u to v before it is returned.
     """
     if u.n != v.n:
         raise ValueError("strand counts differ")
@@ -592,33 +596,20 @@ def equivalent(u: BraidWord, v: BraidWord, budget: Budget = Budget()) -> Verdict
 
     ur, trace_u = free_reduce_trace(u)
     vr, trace_v = free_reduce_trace(v)
-    tail = tuple(invert_step(s) for s in reversed(trace_v))
+    middle = None
     if ur.letters == vr.letters:
-        return Equivalent(trace_u + tail)
-
-    # Words with equal Gauss diagrams differ only by virtual rerouting;
-    # normalising both to the section of the shared diagram settles them
-    # without a global search.  The unreduced words get an attempt of
-    # their own only when free reduction changed one of them.
-    unreduced = ((u, v, (), ()),) if trace_u or trace_v else ()
-    for a, b, prefix, suffix in ((ur, vr, trace_u, tail),) + unreduced:
-        g = gauss.gauss_of_braid(a)
-        if g != gauss.gauss_of_braid(b):
-            continue
+        middle = ()
+    elif (g := gauss.gauss_of_braid(ur)) == gauss.gauss_of_braid(vr):
         section = gauss.braid_of_gauss(g).letters
-        ta = _diagram_normal_trace(a, section, budget)
-        tb = None if ta is None else _diagram_normal_trace(b, section, budget)
-        if tb is None:
-            break
-        trace = prefix + ta + tuple(invert_step(s) for s in reversed(tb)) + suffix
-        if replay_trace(u, trace).letters != v.letters:
-            raise AssertionError("normalisation produced a trace that does not replay")
-        return Equivalent(trace)
-
-    found = _word_search(ur.letters, vr.letters, _rewrite_rules(u.n), budget.nodes)
-    if isinstance(found, SearchStats):
-        return Unknown(*found)
-    trace = trace_u + found + tail
+        tu = _diagram_normal_trace(ur, section, budget)
+        tv = None if tu is None else _diagram_normal_trace(vr, section, budget)
+        if tv is not None:
+            middle = tu + tuple(invert_step(s) for s in reversed(tv))
+    if middle is None:
+        middle = _word_search(ur.letters, vr.letters, _rewrite_rules(u.n), budget.nodes)
+        if isinstance(middle, SearchStats):
+            return Unknown(*middle)
+    trace = trace_u + middle + tuple(invert_step(s) for s in reversed(trace_v))
     if replay_trace(u, trace).letters != v.letters:
-        raise AssertionError("search produced a trace that does not replay")
+        raise AssertionError("equivalent produced a trace that does not replay")
     return Equivalent(trace)

@@ -11,7 +11,7 @@ from svbraid import (
 )
 from svbraid import gauss
 from svbraid.suites import random_gauss, random_word
-from svbraid.words import screen
+from svbraid.words import Budget, Unknown, screen
 
 
 def test_gauss_of_braid_examples():
@@ -206,6 +206,26 @@ def test_omega_equivalent_at_many_strands(monkeypatch):
     v = omega_equivalent(g, GaussWord(300))
     assert isinstance(v, Equivalent)
     assert replay_omega_trace(g, v.trace) == GaussWord(300)
+
+
+def test_omega_swaps_disjoint_arrows():
+    # disjoint arrows need four strands: the middle arrow swaps out of the way
+    pos, neg = ArrowKind.POS, ArrowKind.NEG
+    g = GaussWord(4, (Arrow(1, 2, pos), Arrow(3, 4, pos), Arrow(1, 2, neg)))
+    h = GaussWord(4, (Arrow(3, 4, pos),))
+    v = omega_equivalent(g, h)
+    assert isinstance(v, Equivalent)
+    assert [s.label for s in v.trace] == ["swap", "O2"]
+    assert replay_omega_trace(g, v.trace).arrows == h.arrows
+
+
+def test_omega_equivalent_unknown_at_its_node_limit(monkeypatch):
+    # the D4 pair passes every screen but needs the second S4 orientation,
+    # which the catalog lacks; it becomes provable once that row is added
+    monkeypatch.setattr(Budget, "nodes", 300)
+    assert Budget().nodes == 200_000
+    g, h = (gauss_of_braid(parse_word(text, 3)) for text in ("s2 s1 t2", "t1 s2 s1"))
+    assert omega_equivalent(g, h) == Unknown(301, 1, 1)
 
 
 def test_dict_roundtrip():

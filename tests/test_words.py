@@ -10,7 +10,7 @@ from svbraid import (
     replay_trace, rewrite_neighbors, rho, sigma, singularity_count, tau, theta,
     virtual_word_of_perm,
 )
-from svbraid import words
+from svbraid import rep, words
 from svbraid.gauss import braid_of_gauss, gauss_of_braid
 from svbraid.suites import random_gauss, random_word
 
@@ -342,6 +342,55 @@ def test_sections_normalise_without_search(monkeypatch):
         s = braid_of_gauss(random_gauss(rng, 2 + k % 6, 8))
         assert words._diagram_normal_trace(s, s.letters, Budget()) == ()
     assert seen == []
+
+
+@pytest.mark.parametrize("n, left, right", [
+    (3, "s1 s1'", "s1 r1 r2 r1 r2 r1 r2 s1'"),
+    (4, "s2 s2' t1 s3", "s2 r2 r3 r2 r3 r2 r3 s2' t1 s3"),
+    (3, "s1' s1 r2", "s1' r2 r1 r2 r1 r2 r1 s1 r2"),
+])
+def test_cancelling_pair_around_a_trivial_virtual_word(n, left, right):
+    # the reduced words have different diagrams, so the global search
+    # settles the pair
+    u, v = parse_word(left, n), parse_word(right, n)
+    verdict = equivalent(u, v)
+    assert isinstance(verdict, Equivalent), verdict
+    assert replay_trace(u, verdict.trace) == v
+    assert_catalog_steps(n, verdict.trace)
+
+
+def test_every_certificate_is_replayed_once(monkeypatch):
+    calls = []
+    replay = words.replay_trace
+
+    def recording(w, trace):
+        calls.append(print_word(w))
+        return replay(w, trace)
+
+    monkeypatch.setattr(words, "replay_trace", recording)
+    for n, left, right in ((2, "s1 s1' t1", "t1"),              # free reduction only
+                           (3, "r2 r1 s2 r1 r2 r1", "s1 r1"),   # diagram normalisation
+                           (3, "t1 s1", "s1 t1")):              # global search
+        u = parse_word(left, n)
+        calls.clear()
+        assert isinstance(equivalent(u, parse_word(right, n)), Equivalent)
+        assert calls == [left]
+
+
+def test_burau_screen_covers_the_touched_strands_only(monkeypatch):
+    counts = []
+    burau = rep.burau
+
+    def recording(w):
+        counts.append(w.n)
+        return burau(w)
+
+    monkeypatch.setattr(rep, "burau", recording)
+    u, v = parse_word("s1 t2", 50), parse_word("r1 s1 r1 t2", 50)
+    distinct = words.screen(u, v)
+    assert distinct is not None and distinct.invariant == "burau"
+    assert counts == [3, 3]
+    assert distinct == words.screen(parse_word("s1 t2", 3), parse_word("r1 s1 r1 t2", 3))
 
 
 def test_budget_binds_every_search(monkeypatch):
