@@ -564,9 +564,7 @@ def screen(u: BraidWord, v: BraidWord) -> Distinct | None:
     if pu != pv:
         return Distinct("pair_invariants", pu, pv)
     k = max((g.index + 1 for g in u.letters + v.letters), default=1)
-    if k < u.n:
-        u, v = BraidWord(k, u.letters), BraidWord(k, v.letters)
-    mu, mv = burau(u), burau(v)
+    mu, mv = burau(BraidWord(k, u.letters)), burau(BraidWord(k, v.letters))
     for r, c in product(range(k), repeat=2):
         if mu[r][c] != mv[r][c]:
             return Distinct("burau", (r + 1, c + 1, mu[r][c]), (r + 1, c + 1, mv[r][c]))
