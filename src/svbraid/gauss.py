@@ -28,7 +28,7 @@ from typing import Iterable, NamedTuple
 
 from .search import SearchStats, bidirectional_search
 from .words import (
-    SLACK, BraidWord, Budget, Equivalent, Kind, TraceStep, Unknown, Verdict,
+    BraidWord, Budget, Equivalent, Kind, TraceStep, Unknown, Verdict,
     apply_step, identity_perm, invert_perm, compose_perms, is_perm, invert_step,
     mirror, relation_catalog, rho, screen, sigma, tau, virtual_word_of_perm,
 )
@@ -284,21 +284,20 @@ def replay_omega_trace(g: GaussWord, trace: Iterable[TraceStep]) -> GaussWord:
 def omega_equivalent(g: GaussWord, h: GaussWord) -> Verdict:
     """Three-valued omega-move equivalence of diagrams, same shape as the
     word problem: commutation-only canonicalisation, then ``words.screen``
-    on the two sections, then bidirectional search over single moves under
-    the fixed caps ``Budget.nodes`` and ``SLACK``."""
+    on g and h with their sections, then bidirectional search over single
+    moves under ``Budget.nodes`` and the search's widening arrow cap."""
     if g.n != h.n:
         raise ValueError("strand counts differ")
     cg, trace_g = canonical_form_trace(g)
     ch, trace_h = canonical_form_trace(h)
     if cg == ch:
         return Equivalent(trace_g + tuple(invert_step(s) for s in reversed(trace_h)))
-    distinct = screen(braid_of_gauss(g), braid_of_gauss(h))
+    distinct = screen(braid_of_gauss(g), braid_of_gauss(h), g, h)
     if distinct is not None:
         return distinct
 
-    max_arrows = max(len(g.arrows), len(h.arrows)) + SLACK
     found = bidirectional_search(
-        g.arrows, h.arrows, lambda state: _omega_moves(state, g.n, max_arrows),
+        g.arrows, h.arrows, lambda state, cap: _omega_moves(state, g.n, cap),
         max_nodes=Budget.nodes)
     if isinstance(found, SearchStats):
         return Unknown(*found)

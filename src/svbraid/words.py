@@ -364,7 +364,7 @@ def free_reduce_trace(w: BraidWord) -> tuple[BraidWord, tuple[TraceStep, ...]]:
             trace.append(TraceStep(label, len(stack), (a, g), ()))
         else:
             stack.append(g)
-    return BraidWord(w.n, tuple(stack)), tuple(trace)
+    return (BraidWord(w.n, tuple(stack)) if trace else w), tuple(trace)
 
 
 def _cancels(a: Generator, b: Generator) -> bool:
@@ -433,29 +433,16 @@ def rewrite_neighbors(w: BraidWord, max_len: int) -> tuple[tuple[TraceStep, Brai
     return tuple(out)
 
 
-SLACK = 4  # a word search first caps words at the longer end word plus SLACK
-
-
 def _word_search(start: tuple[Generator, ...], goal: tuple[Generator, ...],
                  rules, max_nodes: int, offset: int = 0):
     """Bidirectional search between two letter sequences under ``rules``:
-    the moves as TraceSteps shifted by ``offset``, or the SearchStats of all
-    rounds once the node budget is spent.  A round that exhausts the words
-    under the length cap widens it by 2: no relation changes length parity."""
-    cap, spent = max(len(start), len(goal)) + SLACK, 0
-    a, b = encode_letters(start), encode_letters(goal)
-
-    def neighbors(state: str):
-        return _byte_neighbors(state, rules, cap)
-
-    while True:
-        found = bidirectional_search(a, b, neighbors, max_nodes=max_nodes - spent)
-        if not isinstance(found, SearchStats):
-            break
-        spent += found.nodes
-        if spent >= max_nodes:
-            return found._replace(nodes=spent)
-        cap += 2
+    the moves as TraceSteps shifted by ``offset``, or the SearchStats once
+    the node budget is spent."""
+    found = bidirectional_search(encode_letters(start), encode_letters(goal),
+                                 lambda state, cap: _byte_neighbors(state, rules, cap),
+                                 max_nodes=max_nodes)
+    if isinstance(found, SearchStats):
+        return found
     return tuple(TraceStep(label, p + offset, decode_letters(pat), decode_letters(rep))
                  for label, p, pat, rep in found)
 
@@ -496,6 +483,12 @@ class Unknown:
 Verdict = Equivalent | Distinct | Unknown
 
 
+def _touched_strands(*letters: tuple[Generator, ...]) -> int:
+    """How many strands ``letters`` touch.  A search adds one to route
+    through, at most n; letters pack alike at any n, so its certificate holds at n."""
+    return max((g.index + 1 for seq in letters for g in seq), default=1)
+
+
 def _diagram_normal_trace(w: BraidWord, section: tuple[Generator, ...], budget: Budget):
     """Trace from w to ``section``, the letters of the section
     ``braid_of_gauss(gauss_of_braid(w))`` of w's Gauss diagram.
@@ -510,7 +503,8 @@ def _diagram_normal_trace(w: BraidWord, section: tuple[Generator, ...], budget: 
     the caller's budget.  Returns None when one fails.
     """
     trace: list[TraceStep] = []
-    slide, straighten = _rewrite_rules(w.n), _straightening_rules(w.n)
+    m = min(w.n, _touched_strands(w.letters, section) + 1)
+    slide, straighten = _rewrite_rules(m), _straightening_rules(m)
 
     def sub_search(start: tuple, goal: tuple, offset: int, rules) -> bool:
         if start == goal:
@@ -544,14 +538,14 @@ def _diagram_normal_trace(w: BraidWord, section: tuple[Generator, ...], budget: 
     return tuple(trace)
 
 
-def screen(u: BraidWord, v: BraidWord) -> Distinct | None:
-    """The first invariant that separates u and v, as a ``Distinct``, or
-    None: theta, singularity_count, degree, pair_invariants, then the
-    ``rep.burau`` matrix at t = 3, u = 5, reported by its first differing
-    entry as (row, col, value) on each side.  The matrices are built on
-    the strands the words touch only; both are the identity off them.
-    ``gauss.omega_equivalent`` screens two diagrams through their sections."""
-    from . import gauss
+def screen(u: BraidWord, v: BraidWord, g, h) -> Distinct | None:
+    """The first invariant that separates u and v, whose Gauss diagrams
+    are g and h, as a ``Distinct``, or None: theta, singularity_count,
+    degree, pair_invariants, then the ``rep.burau`` matrix at t = 3, u = 5,
+    reported by its first differing entry as (row, col, value) on each
+    side.  The matrices are built on the strands the words touch only;
+    both are the identity off them."""
+    from .gauss import pair_invariants
     from .rep import burau
 
     for name, fn in (("theta", theta), ("singularity_count", singularity_count),
@@ -559,11 +553,10 @@ def screen(u: BraidWord, v: BraidWord) -> Distinct | None:
         a, b = fn(u), fn(v)
         if a != b:
             return Distinct(name, a, b)
-    pu = gauss.pair_invariants(gauss.gauss_of_braid(u))
-    pv = gauss.pair_invariants(gauss.gauss_of_braid(v))
+    pu, pv = pair_invariants(g), pair_invariants(h)
     if pu != pv:
         return Distinct("pair_invariants", pu, pv)
-    k = max((g.index + 1 for g in u.letters + v.letters), default=1)
+    k = _touched_strands(u.letters, v.letters)
     mu, mv = burau(BraidWord(k, u.letters)), burau(BraidWord(k, v.letters))
     for r, c in product(range(k), repeat=2):
         if mu[r][c] != mv[r][c]:
@@ -574,10 +567,11 @@ def screen(u: BraidWord, v: BraidWord) -> Distinct | None:
 def equivalent(u: BraidWord, v: BraidWord, budget: Budget = Budget()) -> Verdict:
     """Three-valued word problem.
 
-    Distinct needs a separating invariant found by ``screen``, which runs
-    first.  Otherwise both words are freely reduced (those deletions are
-    themselves relation applications, so they join the trace).  Reduced
-    words with equal Gauss diagrams are both normalised to the section
+    Both words are freely reduced (those deletions are themselves relation
+    applications, so they join the trace, and they keep every invariant of
+    ``screen``), and each reduced word's Gauss diagram is built once.
+    Distinct needs a separating invariant found by ``screen``.  Reduced
+    words with equal diagrams are both normalised to the section
     ``braid_of_gauss`` of that diagram; a word that is its own section
     needs no search at all.  Any other pair, or one whose normalisation
     fails, goes to the global word search, and is Unknown when that fails.
@@ -586,25 +580,27 @@ def equivalent(u: BraidWord, v: BraidWord, budget: Budget = Budget()) -> Verdict
     if u.n != v.n:
         raise ValueError("strand counts differ")
 
-    from . import gauss
-
-    distinct = screen(u, v)
-    if distinct is not None:
-        return distinct
+    from .gauss import braid_of_gauss, gauss_of_braid
 
     ur, trace_u = free_reduce_trace(u)
     vr, trace_v = free_reduce_trace(v)
+    g, h = gauss_of_braid(ur), gauss_of_braid(vr)
+    distinct = screen(ur, vr, g, h)
+    if distinct is not None:
+        return distinct
+
     middle = None
     if ur.letters == vr.letters:
         middle = ()
-    elif (g := gauss.gauss_of_braid(ur)) == gauss.gauss_of_braid(vr):
-        section = gauss.braid_of_gauss(g).letters
+    elif g == h:
+        section = braid_of_gauss(g).letters
         tu = _diagram_normal_trace(ur, section, budget)
         tv = None if tu is None else _diagram_normal_trace(vr, section, budget)
         if tv is not None:
             middle = tu + tuple(invert_step(s) for s in reversed(tv))
     if middle is None:
-        middle = _word_search(ur.letters, vr.letters, _rewrite_rules(u.n), budget.nodes)
+        m = min(u.n, _touched_strands(ur.letters, vr.letters) + 1)
+        middle = _word_search(ur.letters, vr.letters, _rewrite_rules(m), budget.nodes)
         if isinstance(middle, SearchStats):
             return Unknown(*middle)
     trace = trace_u + middle + tuple(invert_step(s) for s in reversed(trace_v))

@@ -181,7 +181,7 @@ def test_omega_equivalent_screens_the_sections():
     separated = 0
     for _ in range(300):
         g, h = random_gauss(rng, 3, 4), random_gauss(rng, 3, 4)
-        distinct = screen(braid_of_gauss(g), braid_of_gauss(h))
+        distinct = screen(braid_of_gauss(g), braid_of_gauss(h), g, h)
         if distinct is None or canonical_form(g) == canonical_form(h):
             continue
         assert omega_equivalent(g, h) == distinct, (g, h)

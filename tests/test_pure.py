@@ -12,6 +12,8 @@ from svbraid import (
     reassemble_factorization, reassemble_pair, semidirect_multiply,
     singularity_count, sp_relation_instances, theta, verify_sp_relations,
 )
+from svbraid import gauss, pure
+from svbraid.gauss import GaussWord, move_shapes
 from svbraid.suites import random_word
 
 OMEGA = "r1 s2' t1 r2 s2 t2"
@@ -134,6 +136,30 @@ def test_verify_sp_relations_small():
     assert report.failures() == ()
     labels = [c.label for c in report.checks]
     assert labels == sorted(labels)
+
+
+def test_pure_words_are_their_embedded_diagrams():
+    # verify_sp_relations reads a pure word's letters as its diagram's arrows
+    for n in (3, 4):
+        for _, lhs, rhs in sp_relation_instances(n):
+            for p in (lhs, rhs):
+                diagram = GaussWord(n, tuple(Arrow(*a) for a in p.letters))
+                assert gauss_of_braid(embed_pure_word(p)) == diagram, str(p)
+
+
+def test_verify_sp_relations_builds_no_diagram_from_a_word(monkeypatch):
+    move_shapes()  # cached: the move table is read off catalog diagrams once
+    calls = []
+    build = gauss.gauss_of_braid
+
+    def counting(w):
+        calls.append(w)
+        return build(w)
+
+    for module in (gauss, pure):
+        monkeypatch.setattr(module, "gauss_of_braid", counting)
+    assert verify_sp_relations(3).passed
+    assert calls == []
 
 
 def test_factor_singular_worked_example():

@@ -10,7 +10,7 @@ from svbraid import (
     replay_trace, rewrite_neighbors, rho, sigma, singularity_count, tau, theta,
     virtual_word_of_perm,
 )
-from svbraid import rep, words
+from svbraid import gauss, rep, words
 from svbraid.gauss import braid_of_gauss, gauss_of_braid
 from svbraid.suites import random_gauss, random_word
 
@@ -386,11 +386,52 @@ def test_burau_screen_covers_the_touched_strands_only(monkeypatch):
         return burau(w)
 
     monkeypatch.setattr(rep, "burau", recording)
-    u, v = parse_word("s1 t2", 50), parse_word("r1 s1 r1 t2", 50)
-    distinct = words.screen(u, v)
+
+    def screened(n):
+        u, v = parse_word("s1 t2", n), parse_word("r1 s1 r1 t2", n)
+        return words.screen(u, v, gauss_of_braid(u), gauss_of_braid(v))
+
+    distinct = screened(50)
     assert distinct is not None and distinct.invariant == "burau"
     assert counts == [3, 3]
-    assert distinct == words.screen(parse_word("s1 t2", 3), parse_word("r1 s1 r1 t2", 3))
+    assert distinct == screened(3)
+
+
+def test_equivalent_builds_each_diagram_once(monkeypatch):
+    # the reduced words' diagrams serve both the screen and the equal-diagram test
+    calls = []
+    build = gauss.gauss_of_braid
+
+    def counting(w):
+        calls.append(print_word(w))
+        return build(w)
+
+    monkeypatch.setattr(gauss, "gauss_of_braid", counting)
+    assert isinstance(equivalent(parse_word("t1 s1", 2), parse_word("s1 t1", 2)), Equivalent)
+    assert calls == ["t1 s1", "s1 t1"]
+
+
+def test_search_rules_cover_the_touched_strands(monkeypatch):
+    # rules on the strands the words touch plus one, not on all 100
+    seen = []
+    rules = words._rewrite_rules
+
+    def recording(n):
+        seen.append(n)
+        return rules(n)
+
+    monkeypatch.setattr(words, "_rewrite_rules", recording)
+    u, v = parse_word("t1 s1", 100), parse_word("s1 t1", 100)
+    verdict = equivalent(u, v)
+    assert isinstance(verdict, Equivalent) and len(verdict.trace) == 1
+    assert seen == [3]
+    seen.clear()
+    # normalised to its section s1 r1: each word's rules reach one strand
+    # past what it and the section touch
+    u = parse_word("r2 r1 s2 r1 r2 r1", 100)
+    verdict = equivalent(u, braid_of_gauss(gauss_of_braid(u)))
+    assert isinstance(verdict, Equivalent) and set(seen) == {3, 4}
+    assert_catalog_steps(4, verdict.trace)
 
 
 def test_budget_binds_every_search(monkeypatch):
