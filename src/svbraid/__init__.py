@@ -5,13 +5,13 @@ from .words import (
     ParseError, RelationInstance, TraceStep, Unknown, Verdict, compose_perms,
     concat, degree, equivalent, free_reduce, free_reduce_trace, identity_perm,
     inverse_word, invert_perm, invert_step, mirror, parse_word, print_word,
-    relation_catalog, replay_trace, rewrite_neighbors, rho, sigma,
-    singularity_count, tau, theta, virtual_word_of_perm,
+    relation_catalog, replay_trace, rho, sigma, singularity_count, tau, theta,
+    virtual_word_of_perm,
 )
 from .gauss import (
     Arrow, ArrowKind, GaussWord, braid_of_gauss, canonical_form,
     canonical_form_trace, gauss_from_dict, gauss_of_braid, gauss_to_dict,
-    omega_equivalent, omega_neighbors, pair_invariants, replay_omega_trace,
+    omega_equivalent, pair_invariants, replay_omega_trace,
 )
 from .desing import (
     FormalSum, degree_spectrum, eta, eta_hat, eta_hat_expansion, flatten,

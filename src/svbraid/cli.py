@@ -230,3 +230,7 @@ def main() -> None:
     if out:
         sys.stdout.write(out)
     sys.exit(code)
+
+
+if __name__ == "__main__":
+    main()

@@ -202,12 +202,12 @@ def _place(shape: tuple[Arrow, ...], strands) -> tuple[Arrow, ...]:
     return tuple(Arrow(strands[a.tail - 1], strands[a.head - 1], a.kind) for a in shape)
 
 
-def placements(before: tuple[Arrow, ...], after: tuple[Arrow, ...], n: int):
+def placements(before: tuple[Arrow, ...], after: tuple[Arrow, ...], strands):
     """Both sides of a shape on strands 1..m, placed together on every
-    ordered choice of m distinct strands of 1..n."""
+    ordered choice of m distinct ``strands``."""
     m = len(_normalised(before, after)[1])
     return [(_place(before, chosen), _place(after, chosen))
-            for chosen in permutations(range(1, n + 1), m)]
+            for chosen in permutations(strands, m)]
 
 
 @lru_cache(maxsize=None)
@@ -237,13 +237,13 @@ def _moves_from() -> dict[tuple[Arrow, ...], list[tuple[str, tuple[Arrow, ...]]]
     return table
 
 
-def _omega_moves(arrows: tuple[Arrow, ...], n: int, max_arrows: int):
+def _omega_moves(arrows: tuple[Arrow, ...], strands, max_arrows: int):
     """Single omega moves, yielded lazily in a fixed order, as (label,
     position, before, after, resulting arrows): each ``move_shapes`` shape,
     in either direction, at every window of arrows it matches under a
     renaming of strands; then a side with nothing before it inserted at
-    every position on every ordered choice of strands; then disjoint-support
-    swaps.  Each move is a catalog relation or its mirror read on diagrams,
+    every position on every ordered choice of ``strands``; then
+    disjoint-support swaps.  Each move is a catalog relation or its mirror read on diagrams,
     so it is sound."""
     k = len(arrows)
     table = _moves_from()
@@ -257,21 +257,13 @@ def _omega_moves(arrows: tuple[Arrow, ...], n: int, max_arrows: int):
                            arrows[:p] + placed + arrows[p + size:])
     for label, after in table.get((), ()):
         if k + len(after) <= max_arrows:
-            for _, new in placements((), after, n):
+            for _, new in placements((), after, strands):
                 for p in range(k + 1):
                     yield label, p, (), new, arrows[:p] + new + arrows[p:]
     for p in range(k - 1):
         a, b = arrows[p], arrows[p + 1]
         if not {a.tail, a.head} & {b.tail, b.head}:
             yield "swap", p, (a, b), (b, a), arrows[:p] + (b, a) + arrows[p + 2:]
-
-
-def omega_neighbors(g: GaussWord, max_arrows: int | None = None) -> tuple[tuple[TraceStep, GaussWord], ...]:
-    """Diagrams one omega move away; insertions are capped at ``max_arrows``
-    (defaults to two more than the current size)."""
-    cap = max_arrows if max_arrows is not None else len(g.arrows) + 2
-    return tuple((TraceStep(*move), GaussWord(g.n, child, g.perm))
-                 for *move, child in _omega_moves(g.arrows, g.n, cap))
 
 
 def replay_omega_trace(g: GaussWord, trace: Iterable[TraceStep]) -> GaussWord:
@@ -285,7 +277,9 @@ def omega_equivalent(g: GaussWord, h: GaussWord) -> Verdict:
     """Three-valued omega-move equivalence of diagrams, same shape as the
     word problem: commutation-only canonicalisation, then ``words.screen``
     on g and h with their sections, then bidirectional search over single
-    moves under ``Budget.nodes`` and the search's widening arrow cap."""
+    moves under ``Budget.nodes`` and the search's widening arrow cap.  Like
+    the word search, it inserts arrows only on the strands g and h touch
+    plus the first untouched one."""
     if g.n != h.n:
         raise ValueError("strand counts differ")
     cg, trace_g = canonical_form_trace(g)
@@ -296,8 +290,11 @@ def omega_equivalent(g: GaussWord, h: GaussWord) -> Verdict:
     if distinct is not None:
         return distinct
 
+    touched = {s for a in g.arrows + h.arrows for s in (a.tail, a.head)}
+    untouched = [s for s in range(1, g.n + 1) if s not in touched]
+    strands = sorted(touched.union(untouched[:1]))
     found = bidirectional_search(
-        g.arrows, h.arrows, lambda state, cap: _omega_moves(state, g.n, cap),
+        g.arrows, h.arrows, lambda state, cap: _omega_moves(state, strands, cap),
         max_nodes=Budget.nodes)
     if isinstance(found, SearchStats):
         return Unknown(*found)

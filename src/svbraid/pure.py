@@ -205,10 +205,10 @@ def sp_relation_instances(n: int) -> tuple[tuple[str, PureWord, PureWord], ...]:
     """
     if n < 2:
         raise ValueError(f"need at least two strands, got {n}")
+    strands = range(1, n + 1)
     out = [(_SP_FAMILIES[label], _pure_word(n, lhs), _pure_word(n, rhs))
            for label, before, after in move_shapes()
-           for lhs, rhs in placements(before, after, n)]
-    strands = range(1, n + 1)
+           for lhs, rhs in placements(before, after, strands)]
     letters = [X(i, j, e) for i in strands for j in strands if i != j
                for e in (1, -1)]
     letters += [Y(i, j) for i in strands for j in strands if i != j]

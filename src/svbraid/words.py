@@ -420,24 +420,19 @@ def _byte_neighbors(state: str, rules, max_len: int):
     return out
 
 
-def rewrite_neighbors(w: BraidWord, max_len: int) -> tuple[tuple[TraceStep, BraidWord], ...]:
-    """Words one relation application away (either direction, any position,
-    insertions of cancelling pairs included), capped at ``max_len`` letters."""
-    if max_len < 0:
-        raise ValueError("max_len must be non-negative")
-    state = encode_letters(w.letters)
-    out = []
-    for label, p, pat, rep, result in _byte_neighbors(state, _rewrite_rules(w.n), max_len):
-        step = TraceStep(label, p, decode_letters(pat), decode_letters(rep))
-        out.append((step, BraidWord(w.n, decode_letters(result))))
-    return tuple(out)
+def _touched_strands(*letters: tuple[Generator, ...]) -> int:
+    """How many strands ``letters`` touch: the highest slot a letter reaches."""
+    return max((g.index + 1 for seq in letters for g in seq), default=1)
 
 
 def _word_search(start: tuple[Generator, ...], goal: tuple[Generator, ...],
-                 rules, max_nodes: int, offset: int = 0):
-    """Bidirectional search between two letter sequences under ``rules``:
-    the moves as TraceSteps shifted by ``offset``, or the SearchStats once
-    the node budget is spent."""
+                 table, n: int, max_nodes: int, offset: int = 0):
+    """Bidirectional search between two letter sequences at n strands under
+    the rules ``table(m)`` on the m strands they touch plus one to route
+    through (at most n); letters pack alike at any n, so a certificate found
+    there holds at n.  Returns the moves as TraceSteps shifted by
+    ``offset``, or the SearchStats once the node budget is spent."""
+    rules = table(min(n, _touched_strands(start, goal) + 1))
     found = bidirectional_search(encode_letters(start), encode_letters(goal),
                                  lambda state, cap: _byte_neighbors(state, rules, cap),
                                  max_nodes=max_nodes)
@@ -483,12 +478,6 @@ class Unknown:
 Verdict = Equivalent | Distinct | Unknown
 
 
-def _touched_strands(*letters: tuple[Generator, ...]) -> int:
-    """How many strands ``letters`` touch.  A search adds one to route
-    through, at most n; letters pack alike at any n, so its certificate holds at n."""
-    return max((g.index + 1 for seq in letters for g in seq), default=1)
-
-
 def _diagram_normal_trace(w: BraidWord, section: tuple[Generator, ...], budget: Budget):
     """Trace from w to ``section``, the letters of the section
     ``braid_of_gauss(gauss_of_braid(w))`` of w's Gauss diagram.
@@ -503,13 +492,11 @@ def _diagram_normal_trace(w: BraidWord, section: tuple[Generator, ...], budget: 
     the caller's budget.  Returns None when one fails.
     """
     trace: list[TraceStep] = []
-    m = min(w.n, _touched_strands(w.letters, section) + 1)
-    slide, straighten = _rewrite_rules(m), _straightening_rules(m)
 
-    def sub_search(start: tuple, goal: tuple, offset: int, rules) -> bool:
+    def sub_search(start: tuple, goal: tuple, offset: int, table) -> bool:
         if start == goal:
             return True
-        found = _word_search(start, goal, rules, budget.nodes, offset=offset)
+        found = _word_search(start, goal, table, w.n, budget.nodes, offset=offset)
         if isinstance(found, SearchStats):
             return False
         trace.extend(found)
@@ -525,15 +512,15 @@ def _diagram_normal_trace(w: BraidWord, section: tuple[Generator, ...], budget: 
             frame += (x,)
             continue
         c = canonical_virtual(frame)
-        if not sub_search(frame, c, done, straighten):
+        if not sub_search(frame, c, done, _straightening_rules):
             return None
         k = next(k for k in range(done, len(section)) if section[k].kind != Kind.VIRT)
         a, y = section[done:k], section[k]
         frame = canonical_virtual((rho(y.index),) + a[::-1] + c + (rho(x.index),))
-        if not sub_search(c + (x,), a + (y,) + frame, done, slide):
+        if not sub_search(c + (x,), a + (y,) + frame, done, _rewrite_rules):
             return None
         done = k + 1
-    if not sub_search(frame, section[done:], done, straighten):
+    if not sub_search(frame, section[done:], done, _straightening_rules):
         return None
     return tuple(trace)
 
@@ -599,8 +586,7 @@ def equivalent(u: BraidWord, v: BraidWord, budget: Budget = Budget()) -> Verdict
         if tv is not None:
             middle = tu + tuple(invert_step(s) for s in reversed(tv))
     if middle is None:
-        m = min(u.n, _touched_strands(ur.letters, vr.letters) + 1)
-        middle = _word_search(ur.letters, vr.letters, _rewrite_rules(m), budget.nodes)
+        middle = _word_search(ur.letters, vr.letters, _rewrite_rules, u.n, budget.nodes)
         if isinstance(middle, SearchStats):
             return Unknown(*middle)
     trace = trace_u + middle + tuple(invert_step(s) for s in reversed(trace_v))

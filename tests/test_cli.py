@@ -1,5 +1,10 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
+import svbraid
 from svbraid.cli import run
 from svbraid.rep import P
 from svbraid.suites import SUITE_NAMES
@@ -43,6 +48,16 @@ def test_equiv_exit_codes():
     assert code == 0 and out == "equivalent: 5 moves\n"
     code, out = run(["equiv", "--n", "70", "t69 s69", "s69 t69"])
     assert code == 0 and out == "equivalent: 1 moves\n"
+
+
+def test_module_entry_point_runs_the_command():
+    # python -m svbraid.cli behaves as the svb script
+    src = Path(svbraid.__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=str(src))
+    done = subprocess.run([sys.executable, "-m", "svbraid.cli", "equiv", "--n", "2",
+                           "s1", "s1'"], env=env, capture_output=True, text=True)
+    assert done.returncode == 3
+    assert done.stdout.startswith("distinct: degree")
 
 
 def test_equiv_json_trace():

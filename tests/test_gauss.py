@@ -3,9 +3,9 @@ import random
 import pytest
 
 from svbraid import (
-    Arrow, ArrowKind, BraidWord, Distinct, Equivalent, GaussWord,
+    Arrow, ArrowKind, BraidWord, Distinct, Equivalent, GaussWord, TraceStep,
     braid_of_gauss, canonical_form, canonical_form_trace, gauss_from_dict,
-    gauss_of_braid, gauss_to_dict, omega_equivalent, omega_neighbors,
+    gauss_of_braid, gauss_to_dict, omega_equivalent,
     pair_invariants, parse_word, print_word, relation_catalog,
     replay_omega_trace, theta,
 )
@@ -130,12 +130,14 @@ def test_canonical_form_keeps_linked_order():
 
 def test_omega_neighbors_are_reversible():
     rng = random.Random(41)
+    strands = range(1, 4)
     for _ in range(40):
         g = random_gauss(rng, 3, 4)
-        for step, h in omega_neighbors(g):
+        for *move, child in gauss._omega_moves(g.arrows, strands, len(g) + 2):
+            step, h = TraceStep(*move), GaussWord(3, child, g.perm)
             assert replay_omega_trace(g, (step,)) == h
-            assert any(replay_omega_trace(h, (s,)) == g
-                       for s, _ in omega_neighbors(h)), step.label
+            assert any(replay_omega_trace(h, (TraceStep(*back),)) == g
+                       for *back, _ in gauss._omega_moves(child, strands, len(h) + 2)), step.label
 
 
 def test_omega_equivalent_on_relation_diagrams():
@@ -206,6 +208,16 @@ def test_omega_equivalent_at_many_strands(monkeypatch):
     v = omega_equivalent(g, GaussWord(300))
     assert isinstance(v, Equivalent)
     assert replay_omega_trace(g, v.trace) == GaussWord(300)
+
+
+@pytest.mark.parametrize("n", [3, 6, 12])
+def test_omega_insertions_stay_on_the_touched_strands(n):
+    # insertions go on the strands the two diagrams touch plus one, so the
+    # search does not grow with n
+    g, h = (gauss_of_braid(parse_word(text, n)) for text in ("s1 s2 s1'", "s2' s1 s2"))
+    v = omega_equivalent(g, h)
+    assert isinstance(v, Equivalent) and len(v.trace) == 3, v
+    assert replay_omega_trace(g, v.trace) == h
 
 
 def test_omega_swaps_disjoint_arrows():

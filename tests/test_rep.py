@@ -5,8 +5,7 @@ from hypothesis import given, settings, strategies as st
 import svbraid.words as words
 from svbraid import (Arrow, ArrowKind, BraidWord, Distinct, GaussWord, Generator,
                      Kind, braid_of_gauss, burau, embed_pure_word, equivalent,
-                     omega_neighbors, parse_word, relation_catalog, rewrite_neighbors,
-                     sp_relation_instances)
+                     gauss, parse_word, relation_catalog, sp_relation_instances)
 from svbraid.rep import P
 
 
@@ -36,8 +35,9 @@ def _words(draw, max_n=5, max_len=8):
 def test_random_rewrites_preserve_burau(w, picks):
     start = burau(w)
     for pick in picks:
-        moves = rewrite_neighbors(w, len(w) + 2)
-        _, w = moves[pick % len(moves)]
+        moves = words._byte_neighbors(words.encode_letters(w.letters),
+                                      words._rewrite_rules(w.n), len(w) + 2)
+        w = BraidWord(w.n, words.decode_letters(moves[pick % len(moves)][-1]))
         assert burau(w) == start
 
 
@@ -78,8 +78,8 @@ def test_omega_moves_preserve_burau():
         for chosen in product(arrows, repeat=size):
             g = GaussWord(3, chosen)
             m = burau(braid_of_gauss(g))
-            for step, h in omega_neighbors(g, max_arrows=len(g)):
-                assert burau(braid_of_gauss(h)) == m, (g.arrows, step)
+            for *step, child in gauss._omega_moves(g.arrows, range(1, 4), len(g)):
+                assert burau(braid_of_gauss(GaussWord(3, child))) == m, (g.arrows, step)
                 moves += 1
     assert moves == 1380
 

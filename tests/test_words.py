@@ -7,8 +7,7 @@ from svbraid import (
     ParseError, TraceStep, Unknown, compose_perms, concat, degree, equivalent,
     free_reduce, free_reduce_trace, identity_perm, inverse_word, invert_perm,
     invert_step, mirror, parse_word, print_word, relation_catalog,
-    replay_trace, rewrite_neighbors, rho, sigma, singularity_count, tau, theta,
-    virtual_word_of_perm,
+    replay_trace, rho, sigma, singularity_count, tau, theta, virtual_word_of_perm,
 )
 from svbraid import gauss, rep, words
 from svbraid.gauss import braid_of_gauss, gauss_of_braid
@@ -258,10 +257,13 @@ def test_relation_sides_share_invariants():
 
 def test_rewrite_neighbors_contains_relation_rewrites():
     w = parse_word("t1 s1", 2)
-    results = {(step.label, print_word(out)) for step, out in rewrite_neighbors(w, 4)}
+    moves = words._byte_neighbors(words.encode_letters(w.letters), words._rewrite_rules(2), 4)
+    results = {(label, print_word(BraidWord(2, words.decode_letters(out))))
+               for label, _, _, _, out in moves}
     assert ("S3", "s1 t1") in results
-    for step, out in rewrite_neighbors(w, 4):
-        assert replay_trace(w, [step]) == out
+    for label, p, before, after, out in moves:
+        step = TraceStep(label, p, words.decode_letters(before), words.decode_letters(after))
+        assert replay_trace(w, [step]) == BraidWord(2, words.decode_letters(out))
 
 
 def test_equivalent_trivial_and_one_move():
@@ -426,11 +428,11 @@ def test_search_rules_cover_the_touched_strands(monkeypatch):
     assert isinstance(verdict, Equivalent) and len(verdict.trace) == 1
     assert seen == [3]
     seen.clear()
-    # normalised to its section s1 r1: each word's rules reach one strand
-    # past what it and the section touch
+    # normalised to its section s1 r1: each sub-search's rules reach one
+    # strand past what its own two ends touch, and the section needs none
     u = parse_word("r2 r1 s2 r1 r2 r1", 100)
     verdict = equivalent(u, braid_of_gauss(gauss_of_braid(u)))
-    assert isinstance(verdict, Equivalent) and set(seen) == {3, 4}
+    assert isinstance(verdict, Equivalent) and set(seen) == {4}
     assert_catalog_steps(4, verdict.trace)
 
 
@@ -438,9 +440,9 @@ def test_budget_binds_every_search(monkeypatch):
     seen = []
     search = words._word_search
 
-    def recording(start, goal, rules, max_nodes, *args, **kwargs):
+    def recording(start, goal, table, n, max_nodes, *args, **kwargs):
         seen.append(max_nodes)
-        return search(start, goal, rules, max_nodes, *args, **kwargs)
+        return search(start, goal, table, n, max_nodes, *args, **kwargs)
 
     monkeypatch.setattr(words, "_word_search", recording)
     u = parse_word("r2 r1 s2' r1 r2 r1", 3)
