@@ -249,10 +249,10 @@ def _omega_moves(arrows: tuple[Arrow, ...], strands, max_arrows: int):
     table = _moves_from()
     for size in sorted({len(before) for before in table} - {0}):
         for p in range(k - size + 1):
-            (key,), strands = _normalised(arrows[p:p + size])
+            (key,), names = _normalised(arrows[p:p + size])
             for label, after in table.get(key, ()):
                 if k - size + len(after) <= max_arrows:
-                    placed = _place(after, strands)
+                    placed = _place(after, names)
                     yield (label, p, arrows[p:p + size], placed,
                            arrows[:p] + placed + arrows[p + size:])
     for label, after in table.get((), ()):

@@ -1,4 +1,5 @@
 import random
+from itertools import permutations
 
 import pytest
 
@@ -138,6 +139,19 @@ def test_omega_neighbors_are_reversible():
             assert replay_omega_trace(g, (step,)) == h
             assert any(replay_omega_trace(h, (TraceStep(*back),)) == g
                        for *back, _ in gauss._omega_moves(child, strands, len(h) + 2)), step.label
+
+
+def test_omega_insertions_cover_the_given_strands():
+    # a diagram on strands 1-2 still gets insertions on every ordered pair
+    # of the strands it is given, in their order
+    pos, neg = ArrowKind.POS, ArrowKind.NEG
+    arrows = (Arrow(1, 2, pos), Arrow(2, 1, pos), Arrow(1, 2, neg))
+    inserted = {}
+    for label, _, before, after, _ in gauss._omega_moves(arrows, range(1, 4), len(arrows) + 2):
+        if not before:
+            inserted.setdefault((after[0].tail, after[0].head), label)
+    assert list(inserted) == list(permutations(range(1, 4), 2))
+    assert set(inserted.values()) == {"O2"}
 
 
 def test_omega_equivalent_on_relation_diagrams():
