@@ -2,20 +2,20 @@
 
 ``eta_hat`` replaces every singular letter by the formal difference of the
 two classical resolutions and expands multiplicatively, producing an
-integer combination of singularity-free words.  Keys of the combination
-are the words as built: no relation, not even free cancellation, is
-applied when merging, so ``t1 t1`` expands to four distinct terms even
-though the two middle ones cancel in the group.
+integer combination of singularity-free words, keyed by the words as
+built: no relation, not even free cancellation, is applied.  Any two
+branches differ in sign at some singular letter, so they are distinct
+words and nothing merges: ``t1 t1`` gives four terms of coefficient +-1.
 """
 
 from __future__ import annotations
 
-from itertools import product
+from itertools import product, repeat
+from math import prod
 from typing import Iterable, Iterator
 
-from .words import (
-    BraidWord, Kind, degree, free_reduce, parse_word, print_word, sigma,
-)
+from .words import (BraidWord, Kind, degree, free_reduce, parse_word, print_word, sigma,
+                    singularity_count)
 
 
 class FormalSum:
@@ -35,7 +35,7 @@ class FormalSum:
     def add(self, word: BraidWord, coeff: int) -> None:
         if word.n != self.n:
             raise ValueError("strand count mismatch")
-        if any(g.kind == Kind.SING for g in word.letters):
+        if singularity_count(word):
             raise ValueError("formal sums hold singularity-free words only")
         if type(coeff) is not int:
             raise ValueError(f"coefficient must be an int, got {coeff!r}")
@@ -78,25 +78,24 @@ def eta_hat_expansion(w: BraidWord) -> Iterator[tuple[int, BraidWord]]:
 
     Singular letters are resolved left to right, positive branch first, so
     the branches come in ``itertools.product`` order over the per-letter
-    choices.  The sign is the parity of negative choices.  Exactly 2^d
-    branches for d singularities.
+    choices.  The sign is the parity of negative choices: the product of
+    the same choices read as +-1.  Exactly 2^d branches for d singularities.
     """
-    spots = [p for p, g in enumerate(w.letters) if g.kind == Kind.SING]
-    if len(spots) > MAX_SINGULARITIES:
+    d = singularity_count(w)
+    if d > MAX_SINGULARITIES:
         raise ValueError(
-            f"{len(spots)} singular letters exceeds the expansion cap {MAX_SINGULARITIES}")
+            f"{d} singular letters exceeds the expansion cap {MAX_SINGULARITIES}")
     choices = [(sigma(g.index), sigma(g.index, -1)) if g.kind == Kind.SING else (g,)
                for g in w.letters]
-    for letters in product(*choices):
-        yield (-1) ** sum(letters[p].kind == Kind.NEG for p in spots), BraidWord(w.n, letters)
+    return zip(map(prod, product((1, -1), repeat=d)),
+               map(BraidWord, repeat(w.n), product(*choices)))
 
 
 def eta_hat(w: BraidWord) -> FormalSum:
     """Multiplicative extension of tau -> sigma - sigma^{-1}; classical and
     virtual letters pass through unchanged."""
     out = FormalSum(w.n)
-    for sign, word in eta_hat_expansion(w):
-        out.add(word, sign)
+    out._terms = {word: sign for sign, word in eta_hat_expansion(w)}
     return out
 
 

@@ -25,6 +25,7 @@ from dataclasses import dataclass
 from enum import IntEnum
 from functools import lru_cache
 from itertools import groupby, product
+from operator import itemgetter
 from typing import Iterable, NamedTuple
 
 from .search import SearchStats, bidirectional_search
@@ -127,7 +128,7 @@ def mirror(w: BraidWord) -> BraidWord:
 def inverse_word(w: BraidWord) -> BraidWord:
     """The mirror, which is the inverse of a word without singular letters;
     singular letters have no inverse in the monoid and are rejected."""
-    if any(g.kind == Kind.SING for g in w.letters):
+    if singularity_count(w):
         raise ValueError("singular letters are not invertible")
     return mirror(w)
 
@@ -242,12 +243,12 @@ def virtual_word_of_perm(p: Perm) -> BraidWord:
 
 def degree(w: BraidWord) -> int:
     """Sum of classical crossing signs; virtual and singular letters count 0."""
-    return sum(1 if g.kind == Kind.POS else -1 if g.kind == Kind.NEG else 0
-               for g in w.letters)
+    kinds = bytes(map(itemgetter(0), w.letters))
+    return kinds.count(Kind.POS) - kinds.count(Kind.NEG)
 
 
 def singularity_count(w: BraidWord) -> int:
-    return sum(1 for g in w.letters if g.kind == Kind.SING)
+    return bytes(map(itemgetter(0), w.letters)).count(Kind.SING)
 
 
 # --- relations ----------------------------------------------------------

@@ -4,7 +4,7 @@ import random
 import pytest
 
 from svbraid import (
-    BraidWord, FormalSum, degree, degree_spectrum, eta, eta_hat,
+    BraidWord, FormalSum, Generator, Kind, degree, degree_spectrum, eta, eta_hat,
     eta_hat_expansion, flatten, formal_sum_from_dicts, formal_sum_to_dicts,
     free_reduce, parse_word, print_word, scalar_preimage_check,
     singularity_count,
@@ -52,6 +52,49 @@ def test_spectrum_is_binomial():
         s = degree(w)
         spectrum = degree_spectrum(eta_hat(w))
         assert spectrum == {s + d - 2 * k: math.comb(d, k) for k in range(d + 1)}
+
+
+def _expand_by_hand(w):
+    """(word, sign) branches built letter by letter: each singular letter
+    splits every branch so far into its positive then its negative
+    resolution, the negative one with the opposite sign."""
+    branches = [((), 1)]
+    for g in w.letters:
+        if g.kind == Kind.SING:
+            branches = [(letters + (Generator(kind, g.index),), sign * flip)
+                        for letters, sign in branches
+                        for kind, flip in ((Kind.POS, 1), (Kind.NEG, -1))]
+        else:
+            branches = [(letters + (g,), sign) for letters, sign in branches]
+    return [(BraidWord(w.n, letters), sign) for letters, sign in branches]
+
+
+def test_eta_hat_is_the_exact_expansion():
+    rng = random.Random(18)
+    for n in range(2, 7):
+        for d in range(9):
+            letters = list(random_word(rng, n, 12, (Kind.POS, Kind.NEG, Kind.VIRT)).letters)
+            for _ in range(d):
+                letters.insert(rng.randint(0, len(letters)),
+                               Generator(Kind.SING, rng.randint(1, n - 1)))
+            w = BraidWord(n, tuple(letters))
+            assert singularity_count(w) == d
+            terms = list(eta_hat(w).terms())
+            assert terms == _expand_by_hand(w)
+            assert terms[0][0] == flatten(w)
+            assert len(terms) == 2 ** d
+            assert all(type(c) is int and abs(c) == 1 for _, c in terms)
+            assert [(c, t) for t, c in terms] == list(eta_hat_expansion(w))
+
+
+def test_degree_spectrum_of_a_general_sum():
+    """Terms merged by ``add``, one cancelled to zero and coefficients
+    above 1 in absolute value: each degree is weighted by |coefficient|."""
+    p, q, r, z = (parse_word(t, 3) for t in ("s1 s2", "s1' r2", "r1", "s2 s2 s1"))
+    fs = FormalSum(3, [(p, 2), (q, -1), (p, 1), (r, 4), (z, 5), (q, -2), (z, -5)])
+    assert list(fs.terms()) == [(p, 3), (q, -3), (r, 4)]
+    assert degree_spectrum(fs) == {-1: 3, 0: 4, 2: 3}
+    assert degree_spectrum(FormalSum(3)) == {}
 
 
 def test_expansion_size_cap():

@@ -154,6 +154,13 @@ def test_degree_and_singularity_count():
     assert singularity_count(w) == 2
     assert degree(parse_word("s1 s1", 2)) == 2
     assert degree(parse_word("s1'", 2)) == -1
+    rng = random.Random(19)
+    for w in [BraidWord(2), BraidWord(5)] + [random_word(rng, rng.randint(2, 6), 30)
+                                             for _ in range(200)]:
+        kinds = [g.kind for g in w.letters]
+        assert degree(w) == kinds.count(Kind.POS) - kinds.count(Kind.NEG)
+        assert singularity_count(w) == kinds.count(Kind.SING)
+    assert (degree(BraidWord(2)), singularity_count(BraidWord(2))) == (0, 0)
 
 
 def test_free_reduce():
