@@ -174,6 +174,8 @@ def _cmd_genus(args) -> tuple[int, str]:
 
 
 def _cmd_relations(args) -> tuple[int, str]:
+    if args.n < 2:
+        raise ValueError(f"need at least two strands, got {args.n}")
     instances = relation_catalog(args.n)
     payload = [{"family": r.family, "lhs": print_word(r.lhs),
                 "rhs": print_word(r.rhs)} for r in instances]

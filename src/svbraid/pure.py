@@ -87,7 +87,10 @@ def print_pure_word(p: PureWord) -> str:
 
 
 def parse_pure_word(text: str, n: int) -> PureWord:
+    """Parse whitespace-separated tokens; ``e`` alone is the empty word."""
     tokens = text.split()
+    if not tokens:
+        raise ValueError("empty input; the empty word is written 'e'")
     if tokens == ["e"]:
         return PureWord(n)
     letters = []
@@ -146,14 +149,6 @@ def reassemble_pair(pair: SemidirectPair) -> BraidWord:
     return concat(embed_pure_word(pair.pure), virtual_word_of_perm(pair.perm))
 
 
-def relabel_pure(p: PureWord, perm: Perm) -> PureWord:
-    """Rename every strand index through perm."""
-    if len(perm) != p.n or not is_perm(perm):
-        raise ValueError(f"bad permutation {perm} for n={p.n}")
-    return PureWord(p.n, tuple(
-        PureGenerator(perm[g.i - 1], perm[g.j - 1], g.kind) for g in p.letters))
-
-
 def semidirect_multiply(a: SemidirectPair, b: SemidirectPair) -> SemidirectPair:
     """Product in the semidirect splitting.
 
@@ -164,8 +159,9 @@ def semidirect_multiply(a: SemidirectPair, b: SemidirectPair) -> SemidirectPair:
     """
     if a.n != b.n:
         raise ValueError("strand counts differ")
-    moved = relabel_pure(b.pure, invert_perm(a.perm))
-    return SemidirectPair(PureWord(a.n, a.pure.letters + moved.letters),
+    name = invert_perm(a.perm)
+    moved = tuple(PureGenerator(name[g.i - 1], name[g.j - 1], g.kind) for g in b.pure.letters)
+    return SemidirectPair(PureWord(a.n, a.pure.letters + moved),
                           compose_perms(a.perm, b.perm))
 
 

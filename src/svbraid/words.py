@@ -427,12 +427,15 @@ def _touched_strands(*letters: tuple[Generator, ...]) -> int:
 
 
 def _word_search(start: tuple[Generator, ...], goal: tuple[Generator, ...],
-                 table, n: int, max_nodes: int, offset: int = 0):
+                 n: int, max_nodes: int, offset: int = 0):
     """Bidirectional search between two letter sequences at n strands under
-    the rules ``table(m)`` on the m strands they touch plus one to route
-    through (at most n); letters pack alike at any n, so a certificate found
-    there holds at n.  Returns the moves as TraceSteps shifted by
-    ``offset``, or the SearchStats once the node budget is spent."""
+    ``_straightening_rules`` if every letter of both is virtual and
+    ``_rewrite_rules`` otherwise, instantiated on the strands they touch
+    plus one to route through (at most n).  Letters pack alike at any n, so
+    a certificate found there holds at n.  Returns the moves as TraceSteps
+    shifted by ``offset``, or the SearchStats once the node budget is spent."""
+    virtual = set(map(itemgetter(0), start + goal)) <= {Kind.VIRT}
+    table = _straightening_rules if virtual else _rewrite_rules
     rules = table(min(n, _touched_strands(start, goal) + 1))
     found = bidirectional_search(encode_letters(start), encode_letters(goal),
                                  lambda state, cap: _byte_neighbors(state, rules, cap),
@@ -481,7 +484,8 @@ Verdict = Equivalent | Distinct | Unknown
 
 def _diagram_normal_trace(w: BraidWord, section: tuple[Generator, ...], budget: Budget):
     """Trace from w to ``section``, the letters of the section
-    ``braid_of_gauss(gauss_of_braid(w))`` of w's Gauss diagram.
+    ``braid_of_gauss(gauss_of_braid(w))`` of w's Gauss diagram, or the
+    SearchStats of the first sub-search that fails.
 
     One pass left to right.  The virtual letters met so far form a frame;
     at each crossing the frame is straightened and the crossing slides
@@ -490,40 +494,36 @@ def _diagram_normal_trace(w: BraidWord, section: tuple[Generator, ...], budget: 
     virtual rest of the slide is the next frame, and the last frame is
     straightened to the section's virtual tail.  Routing runs are already
     straight, so a section word needs no search.  Every sub-search gets
-    the caller's budget.  Returns None when one fails.
+    the caller's budget.
     """
-    trace: list[TraceStep] = []
-
-    def sub_search(start: tuple, goal: tuple, offset: int, table) -> bool:
-        if start == goal:
-            return True
-        found = _word_search(start, goal, table, w.n, budget.nodes, offset=offset)
-        if isinstance(found, SearchStats):
-            return False
-        trace.extend(found)
-        return True
-
     def canonical_virtual(letters: tuple[Generator, ...]) -> tuple[Generator, ...]:
         return virtual_word_of_perm(theta(BraidWord(w.n, letters))).letters
 
-    done = 0
-    frame: tuple[Generator, ...] = ()
-    for x in w.letters:
-        if x.kind == Kind.VIRT:
-            frame += (x,)
-            continue
-        c = canonical_virtual(frame)
-        if not sub_search(frame, c, done, _straightening_rules):
-            return None
-        k = next(k for k in range(done, len(section)) if section[k].kind != Kind.VIRT)
-        a, y = section[done:k], section[k]
-        frame = canonical_virtual((rho(y.index),) + a[::-1] + c + (rho(x.index),))
-        if not sub_search(c + (x,), a + (y,) + frame, done, _rewrite_rules):
-            return None
-        done = k + 1
-    if not sub_search(frame, section[done:], done, _straightening_rules):
-        return None
-    return tuple(trace)
+    def legs():
+        """Each sub-search as (start, goal, offset), in trace order."""
+        done = 0
+        frame: tuple[Generator, ...] = ()
+        for x in w.letters:
+            if x.kind == Kind.VIRT:
+                frame += (x,)
+                continue
+            c = canonical_virtual(frame)
+            yield frame, c, done
+            k = next(k for k in range(done, len(section)) if section[k].kind != Kind.VIRT)
+            a, y = section[done:k], section[k]
+            frame = canonical_virtual((rho(y.index),) + a[::-1] + c + (rho(x.index),))
+            yield c + (x,), a + (y,) + frame, done
+            done = k + 1
+        yield frame, section[done:], done
+
+    trace: tuple[TraceStep, ...] = ()
+    for start, goal, offset in legs():
+        if start != goal:
+            found = _word_search(start, goal, w.n, budget.nodes, offset=offset)
+            if isinstance(found, SearchStats):
+                return found
+            trace += found
+    return trace
 
 
 def screen(u: BraidWord, v: BraidWord, g, h) -> Distinct | None:
@@ -558,11 +558,12 @@ def equivalent(u: BraidWord, v: BraidWord, budget: Budget = Budget()) -> Verdict
     Both words are freely reduced (those deletions are themselves relation
     applications, so they join the trace, and they keep every invariant of
     ``screen``), and each reduced word's Gauss diagram is built once.
-    Distinct needs a separating invariant found by ``screen``.  Reduced
+    Distinct needs a separating invariant found by ``screen``.  Then one
+    path for each kind of pair: equal reduced words need nothing; reduced
     words with equal diagrams are both normalised to the section
-    ``braid_of_gauss`` of that diagram; a word that is its own section
-    needs no search at all.  Any other pair, or one whose normalisation
-    fails, goes to the global word search, and is Unknown when that fails.
+    ``braid_of_gauss`` of that diagram (a word that is its own section
+    needs no search at all); any other pair goes to the global word
+    search.  Unknown carries the SearchStats of the search that failed.
     Every Equivalent trace is replayed from u to v before it is returned.
     """
     if u.n != v.n:
@@ -577,19 +578,19 @@ def equivalent(u: BraidWord, v: BraidWord, budget: Budget = Budget()) -> Verdict
     if distinct is not None:
         return distinct
 
-    middle = None
     if ur.letters == vr.letters:
         middle = ()
     elif g == h:
         section = braid_of_gauss(g).letters
-        tu = _diagram_normal_trace(ur, section, budget)
-        tv = None if tu is None else _diagram_normal_trace(vr, section, budget)
-        if tv is not None:
-            middle = tu + tuple(invert_step(s) for s in reversed(tv))
-    if middle is None:
-        middle = _word_search(ur.letters, vr.letters, _rewrite_rules, u.n, budget.nodes)
-        if isinstance(middle, SearchStats):
-            return Unknown(*middle)
+        middle = _diagram_normal_trace(ur, section, budget)
+        if not isinstance(middle, SearchStats):
+            tv = _diagram_normal_trace(vr, section, budget)
+            middle = tv if isinstance(tv, SearchStats) else \
+                middle + tuple(invert_step(s) for s in reversed(tv))
+    else:
+        middle = _word_search(ur.letters, vr.letters, u.n, budget.nodes)
+    if isinstance(middle, SearchStats):
+        return Unknown(*middle)
     trace = trace_u + middle + tuple(invert_step(s) for s in reversed(trace_v))
     if replay_trace(u, trace).letters != v.letters:
         raise AssertionError("equivalent produced a trace that does not replay")

@@ -202,11 +202,13 @@ def test_error_exit_codes():
     assert code == 2
 
 
-def test_verify_needs_two_strands():
-    for name in SUITE_NAMES:
+def test_verify_needs_two_strands(capsys):
+    # so does the relation listing, with the same message
+    for argv in [["verify", name] for name in SUITE_NAMES] + [["relations"]]:
         for n in ("1", "0"):
-            code, out = run(["verify", name, "--n", n])
+            code, out = run(argv + ["--n", n])
             assert code == 1 and out == ""
+            assert capsys.readouterr().err == f"error: need at least two strands, got {n}\n"
 
 
 def test_output_is_deterministic():

@@ -29,6 +29,10 @@ def test_pure_word_parse_print():
         parse_pure_word("Y1,1", 3)
     with pytest.raises(ValueError):
         parse_pure_word("Y1,4", 3)
+    # as for braid words, the empty word is written 'e'
+    for blank in ("", "   "):
+        with pytest.raises(ValueError, match="written 'e'"):
+            parse_pure_word(blank, 3)
     letters = (X(1, 2), Y(3, 1))
     assert PureWord(3, letters).letters is letters
     # one input format: a tuple of PureGenerators of an ArrowKind

@@ -11,6 +11,7 @@ from svbraid import (
 )
 from svbraid import gauss, rep, words
 from svbraid.gauss import braid_of_gauss, gauss_of_braid
+from svbraid.search import SearchStats
 from svbraid.suites import random_gauss, random_word
 
 
@@ -447,9 +448,9 @@ def test_budget_binds_every_search(monkeypatch):
     seen = []
     search = words._word_search
 
-    def recording(start, goal, table, n, max_nodes, *args, **kwargs):
+    def recording(start, goal, n, max_nodes, *args, **kwargs):
         seen.append(max_nodes)
-        return search(start, goal, table, n, max_nodes, *args, **kwargs)
+        return search(start, goal, n, max_nodes, *args, **kwargs)
 
     monkeypatch.setattr(words, "_word_search", recording)
     u = parse_word("r2 r1 s2' r1 r2 r1", 3)
@@ -464,19 +465,48 @@ def test_budget_binds_every_search(monkeypatch):
     assert isinstance(verdict, Unknown) and verdict.nodes_explored <= 11
 
 
+def test_word_search_picks_its_rules_from_its_two_ends(monkeypatch):
+    seen = []
+    for name in ("_rewrite_rules", "_straightening_rules"):
+        table = getattr(words, name)
+        monkeypatch.setattr(words, name,
+                            lambda m, name=name, table=table: seen.append(name) or table(m))
+
+    def first_table(left, right):
+        seen.clear()
+        found = words._word_search(parse_word(left, 3).letters, parse_word(right, 3).letters,
+                                   3, 1000)
+        assert not isinstance(found, SearchStats)
+        return seen[0]
+
+    assert first_table("r1 r2 r1", "r2 r1 r2") == "_straightening_rules"
+    assert first_table("r1 s2 r1", "r2 s1 r2") == "_rewrite_rules"
+    assert first_table("t1 s1", "s1 t1") == "_rewrite_rules"
+
+
 def test_failed_normalisation_skips_the_second_word(monkeypatch):
-    calls = []
-    normal = words._diagram_normal_trace
+    # and the search between the two whole words: the failed sub-search is
+    # the verdict, and Unknown reports its effort
+    calls, searches = [], []
+    normal, search = words._diagram_normal_trace, words._word_search
 
     def recording(w, section, budget):
         calls.append(print_word(w))
         return normal(w, section, budget)
 
+    def recording_search(start, goal, *args, **kwargs):
+        searches.append((start, goal, search(start, goal, *args, **kwargs)))
+        return searches[-1][2]
+
     monkeypatch.setattr(words, "_diagram_normal_trace", recording)
+    monkeypatch.setattr(words, "_word_search", recording_search)
     u, v = parse_word("r4 t1 s3 t3 t2 r1 r2", 5), parse_word("t1 r4 s3 t3 t2 r1 r2", 5)
     verdict = equivalent(u, v, Budget(nodes=10))
     assert calls == ["r4 t1 s3 t3 t2 r1 r2"]
+    assert searches and all({start, goal} != {u.letters, v.letters}
+                            for start, goal, _ in searches)
     assert isinstance(verdict, Unknown) and verdict.nodes_explored <= 11
+    assert verdict == Unknown(*searches[-1][2])
 
 
 def test_equivalent_unknown_reports_effort():
