@@ -67,4 +67,14 @@ v = parse_word("s2", 3)
 verdict = equivalent(u, v)
 assert isinstance(verdict, Equivalent)
 print(f"{print_word(u)}  ~  {print_word(v)}: {len(verdict.trace)} move(s)")
+print()
+
+# virtual letters alone are straightened by construction: V1, V3 and V4
+# steps, no search, so even a one-node budget certifies the pair
+u = parse_word("r1 r2 r1 r3 r5 r2 r1 r3 r4", 6)
+v = parse_word("r3 r2 r1 r3 r2 r5 r4", 6)
+verdict = equivalent(u, v, Budget(nodes=1))
+assert isinstance(verdict, Equivalent) and replay_trace(u, verdict.trace) == v
+print(f"{print_word(u)}  ~  {print_word(v)}: {len(verdict.trace)} moves "
+      f"under Budget(nodes=1)")
 print("done")

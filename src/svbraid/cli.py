@@ -46,7 +46,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = add("equiv", "decide equivalence of two words", words=2)
     p.add_argument("--budget", type=int, default=Budget.nodes,
                    help="node budget of every search, normalisation "
-                   "sub-searches included (default %(default)s)")
+                   "slide searches included (default %(default)s)")
     add("to-gauss", "Gauss diagram of a word", words=1)
     p = add("from-gauss", "braid word realizing a Gauss diagram")
     p.add_argument("diagram", help="diagram as JSON: "

@@ -224,8 +224,9 @@ def theta(w: BraidWord) -> Perm:
 def virtual_word_of_perm(p: Perm) -> BraidWord:
     """Virtual-only word whose strand permutation is p.
 
-    Deterministic routing: for each slot from the left, bubble the strand
-    that must end there leftward into place.
+    Deterministic routing: for each slot j from the left, bubble the strand
+    that must end there leftward into place from slot a+1.  This is the run
+    normal form: one run r<a> ... r<j> per slot j, empty when a = j-1.
     """
     n = len(p)
     if not is_perm(p):
@@ -374,6 +375,42 @@ def _cancels(a: Generator, b: Generator) -> bool:
         b.kind == _MIRROR_KIND.get(a.kind, a.kind)
 
 
+def _straighten(letters: tuple[Generator, ...], offset: int = 0):
+    """The run normal form (``virtual_word_of_perm``) of the virtual
+    ``letters``, and the V1, V3 and V4 steps from ``letters`` to it, shifted
+    by ``offset``; no search.  Letters enter from the right end and move
+    right through the runs built so far: r<m> passes a run r<a> ... r<j>
+    that it misses (m > a+1) by V1s, and one that covers it (m < a) by V1s,
+    a V4 and V1s, leaving as r<m+1>.  It stops at the first run that it
+    tops (m = a+1) or whose top it cancels by V3 (m = a)."""
+    # run j+1 is r<tops[j]> ... r<j+1>, empty as long as tops[j] = j
+    tops = list(range(max((g.index for g in letters), default=0)))
+    steps: list[TraceStep] = []
+
+    def commute(q: int, m: int, run: range) -> int:
+        steps.extend(TraceStep("V1", p, (rho(m), rho(i)), (rho(i), rho(m)))
+                     for p, i in enumerate(run, q))
+        return q + len(run)
+
+    for q in reversed(range(offset, offset + len(letters))):
+        m, j = letters[q - offset].index, 0
+        while not tops[j] <= m <= tops[j] + 1:
+            a, run = tops[j], range(tops[j], j, -1)
+            if m > a:
+                q = commute(q, m, run)
+            else:
+                q = commute(q, m, run[:a - m - 1])
+                steps.append(TraceStep("V4", q, (rho(m), rho(m + 1), rho(m)),
+                                       (rho(m + 1), rho(m), rho(m + 1))))
+                q, m = commute(q + 2, m + 1, run[a - m + 1:]), m + 1
+            j += 1
+        if m == tops[j]:
+            steps.append(TraceStep("V3", q, (rho(m), rho(m)), ()))
+        tops[j] = m if m > tops[j] else m - 1
+    word = tuple(rho(i) for j, a in enumerate(tops) for i in range(a, j, -1))
+    return word, tuple(steps)
+
+
 # Each letter packs into one character, code point 4*(index-1) + kind, so
 # search states find, slice and hash at C speed at any strand count.
 
@@ -393,13 +430,6 @@ def _rewrite_rules(n: int) -> tuple[tuple[str, str, str], ...]:
         rules.append((family, a, b))
         rules.append((family, b, a))
     return tuple(sorted(set(rules)))
-
-
-@lru_cache(maxsize=None)
-def _straightening_rules(n: int) -> tuple[tuple[str, str, str], ...]:
-    """The rewrite rules whose two sides are both virtual-only words."""
-    return tuple(rule for rule in _rewrite_rules(n)
-                 if all(ord(c) & 3 == Kind.VIRT for c in rule[1] + rule[2]))
 
 
 def _byte_neighbors(state: str, rules, max_len: int):
@@ -429,14 +459,11 @@ def _touched_strands(*letters: tuple[Generator, ...]) -> int:
 def _word_search(start: tuple[Generator, ...], goal: tuple[Generator, ...],
                  n: int, max_nodes: int, offset: int = 0):
     """Bidirectional search between two letter sequences at n strands under
-    ``_straightening_rules`` if every letter of both is virtual and
-    ``_rewrite_rules`` otherwise, instantiated on the strands they touch
-    plus one to route through (at most n).  Letters pack alike at any n, so
-    a certificate found there holds at n.  Returns the moves as TraceSteps
+    ``_rewrite_rules`` instantiated on the strands they touch plus one to
+    route through (at most n).  Letters pack alike at any n, so a
+    certificate found there holds at n.  Returns the moves as TraceSteps
     shifted by ``offset``, or the SearchStats once the node budget is spent."""
-    virtual = set(map(itemgetter(0), start + goal)) <= {Kind.VIRT}
-    table = _straightening_rules if virtual else _rewrite_rules
-    rules = table(min(n, _touched_strands(start, goal) + 1))
+    rules = _rewrite_rules(min(n, _touched_strands(start, goal) + 1))
     found = bidirectional_search(encode_letters(start), encode_letters(goal),
                                  lambda state, cap: _byte_neighbors(state, rules, cap),
                                  max_nodes=max_nodes)
@@ -451,7 +478,7 @@ def _word_search(start: tuple[Generator, ...], goal: tuple[Generator, ...],
 @dataclass(frozen=True)
 class Budget:
     """Search limit: ``nodes`` caps the stored states of every search, the
-    diagram normalisation sub-searches included."""
+    slide searches of diagram normalisation included."""
 
     nodes: int = 200_000
 
@@ -485,45 +512,34 @@ Verdict = Equivalent | Distinct | Unknown
 def _diagram_normal_trace(w: BraidWord, section: tuple[Generator, ...], budget: Budget):
     """Trace from w to ``section``, the letters of the section
     ``braid_of_gauss(gauss_of_braid(w))`` of w's Gauss diagram, or the
-    SearchStats of the first sub-search that fails.
+    SearchStats of the first slide search that fails.
 
     One pass left to right.  The virtual letters met so far form a frame;
     at each crossing the frame is straightened and the crossing slides
     through it into the section's next routing letters and crossing (the
     detour move), so every search is over words with one crossing.  The
     virtual rest of the slide is the next frame, and the last frame is
-    straightened to the section's virtual tail.  Routing runs are already
-    straight, so a section word needs no search.  Every sub-search gets
-    the caller's budget.
+    straightened to the section's virtual tail.  ``_straighten`` needs no
+    search, and routing runs are already straight, so a section word needs
+    no search at all.  Every slide search gets the caller's budget.
     """
-    def canonical_virtual(letters: tuple[Generator, ...]) -> tuple[Generator, ...]:
-        return virtual_word_of_perm(theta(BraidWord(w.n, letters))).letters
-
-    def legs():
-        """Each sub-search as (start, goal, offset), in trace order."""
-        done = 0
-        frame: tuple[Generator, ...] = ()
-        for x in w.letters:
-            if x.kind == Kind.VIRT:
-                frame += (x,)
-                continue
-            c = canonical_virtual(frame)
-            yield frame, c, done
-            k = next(k for k in range(done, len(section)) if section[k].kind != Kind.VIRT)
-            a, y = section[done:k], section[k]
-            frame = canonical_virtual((rho(y.index),) + a[::-1] + c + (rho(x.index),))
-            yield c + (x,), a + (y,) + frame, done
-            done = k + 1
-        yield frame, section[done:], done
-
-    trace: tuple[TraceStep, ...] = ()
-    for start, goal, offset in legs():
-        if start != goal:
-            found = _word_search(start, goal, w.n, budget.nodes, offset=offset)
+    trace, done, frame = (), 0, ()
+    for x in w.letters:
+        if x.kind == Kind.VIRT:
+            frame += (x,)
+            continue
+        c, steps = _straighten(frame, done)
+        trace += steps
+        k = next(k for k in range(done, len(section)) if section[k].kind != Kind.VIRT)
+        a, y = section[done:k], section[k]
+        frame = _straighten((rho(y.index),) + a[::-1] + c + (rho(x.index),))[0]
+        if c + (x,) != a + (y,) + frame:
+            found = _word_search(c + (x,), a + (y,) + frame, w.n, budget.nodes, done)
             if isinstance(found, SearchStats):
                 return found
             trace += found
-    return trace
+        done = k + 1
+    return trace + _straighten(frame, done)[1]
 
 
 def screen(u: BraidWord, v: BraidWord, g, h) -> Distinct | None:

@@ -248,13 +248,6 @@ def test_relation_catalog_order_at_n4():
     ]
 
 
-def test_straightening_rules_are_the_virtual_relations():
-    for n in range(2, 7):
-        rules = words._straightening_rules(n)
-        assert rules == tuple(r for r in words._rewrite_rules(n)
-                              if r[0] in ("V1", "V3", "V4"))
-
-
 def test_relation_sides_share_invariants():
     for n in (2, 3, 4):
         for inst in relation_catalog(n):
@@ -354,6 +347,35 @@ def test_sections_normalise_without_search(monkeypatch):
     assert seen == []
 
 
+def test_straighten_reaches_the_run_normal_form():
+    rng = random.Random(11)
+    for n in range(2, 9):
+        for length in range(31):
+            letters = tuple(rho(rng.randint(1, n - 1)) for _ in range(length))
+            prefix = tuple(rho(rng.randint(1, n - 1)) for _ in range(rng.randint(0, 3)))
+            word, steps = words._straighten(letters, offset=len(prefix))
+            assert word == virtual_word_of_perm(theta(BraidWord(n, letters))).letters
+            assert replay_trace(BraidWord(n, prefix + letters), steps) == \
+                BraidWord(n, prefix + word)
+            assert_catalog_steps(n, steps)
+            assert words._straighten(word, offset=len(prefix)) == (word, ())
+
+
+def test_virtual_pairs_need_no_search(monkeypatch):
+    # a virtual-only pair has equal diagrams without crossings, so its two
+    # straightenings are the whole certificate
+    def no_search(*args, **kwargs):
+        raise AssertionError("search ran")
+
+    monkeypatch.setattr(words, "_word_search", no_search)
+    u = parse_word("r1 r2 r1 r3 r5 r2 r1 r3 r4", 6)
+    v = parse_word("r3 r2 r1 r3 r2 r5 r4", 6)
+    verdict = equivalent(u, v, Budget(nodes=1))
+    assert isinstance(verdict, Equivalent)
+    assert replay_trace(u, verdict.trace) == v
+    assert_catalog_steps(6, verdict.trace)
+
+
 @pytest.mark.parametrize("n, left, right", [
     (3, "s1 s1'", "s1 r1 r2 r1 r2 r1 r2 s1'"),
     (4, "s2 s2' t1 s3", "s2 r2 r3 r2 r3 r2 r3 s2' t1 s3"),
@@ -436,7 +458,7 @@ def test_search_rules_cover_the_touched_strands(monkeypatch):
     assert isinstance(verdict, Equivalent) and len(verdict.trace) == 1
     assert seen == [3]
     seen.clear()
-    # normalised to its section s1 r1: each sub-search's rules reach one
+    # normalised to its section s1 r1: each slide search's rules reach one
     # strand past what its own two ends touch, and the section needs none
     u = parse_word("r2 r1 s2 r1 r2 r1", 100)
     verdict = equivalent(u, braid_of_gauss(gauss_of_braid(u)))
@@ -453,39 +475,21 @@ def test_budget_binds_every_search(monkeypatch):
         return search(start, goal, n, max_nodes, *args, **kwargs)
 
     monkeypatch.setattr(words, "_word_search", recording)
-    u = parse_word("r2 r1 s2' r1 r2 r1", 3)
+    # two crossings, so two slide searches; its section needs none
+    u, v = parse_word("r1 t2 t1 r1", 3), parse_word("r2 t1 r1 r2 t2 r2 r1 r2", 3)
+    assert braid_of_gauss(gauss_of_braid(u)) == v
     budget = Budget()
-    assert isinstance(equivalent(u, braid_of_gauss(gauss_of_braid(u)), budget),
-                      Equivalent)
+    assert isinstance(equivalent(u, v, budget), Equivalent)
     assert len(seen) >= 2
     assert all(max_nodes == budget.nodes for max_nodes in seen)
-    # the normalisation sub-searches stop at the caller's node budget too
+    # the normalisation slide searches stop at the caller's node budget too
     u, v = parse_word("r4 t1 s3 t3 t2 r1 r2", 5), parse_word("t1 r4 s3 t3 t2 r1 r2", 5)
     verdict = equivalent(u, v, Budget(nodes=10))
     assert isinstance(verdict, Unknown) and verdict.nodes_explored <= 11
 
 
-def test_word_search_picks_its_rules_from_its_two_ends(monkeypatch):
-    seen = []
-    for name in ("_rewrite_rules", "_straightening_rules"):
-        table = getattr(words, name)
-        monkeypatch.setattr(words, name,
-                            lambda m, name=name, table=table: seen.append(name) or table(m))
-
-    def first_table(left, right):
-        seen.clear()
-        found = words._word_search(parse_word(left, 3).letters, parse_word(right, 3).letters,
-                                   3, 1000)
-        assert not isinstance(found, SearchStats)
-        return seen[0]
-
-    assert first_table("r1 r2 r1", "r2 r1 r2") == "_straightening_rules"
-    assert first_table("r1 s2 r1", "r2 s1 r2") == "_rewrite_rules"
-    assert first_table("t1 s1", "s1 t1") == "_rewrite_rules"
-
-
 def test_failed_normalisation_skips_the_second_word(monkeypatch):
-    # and the search between the two whole words: the failed sub-search is
+    # and the search between the two whole words: the failed slide search is
     # the verdict, and Unknown reports its effort
     calls, searches = [], []
     normal, search = words._diagram_normal_trace, words._word_search
