@@ -38,10 +38,12 @@ print("the crossing degree, so any word with a singular letter spreads out")
 print()
 
 # consequence: a word maps to a scalar multiple of the empty word only if
-# it is singularity-free and its crossings cancel freely
-for text in ("e", "s1 s1'", "r1 r1", "t1", "r1", "s1 s1"):
-    v = parse_word(text, 2)
-    flag = scalar_preimage_check(v)
+# it is singularity-free and equal to e; the test is the word problem
+# against e, so it also settles words free reduction leaves alone
+for text, n in (("e", 2), ("s1 s1'", 2), ("r1 r1", 2), ("t1", 2), ("r1", 2),
+                ("s1 s1", 2), ("s1 s2 s1 s2' s1' s2'", 3)):
+    v = parse_word(text, n)
+    verdict = type(scalar_preimage_check(v)).__name__
     reduced = print_word(free_reduce(v))
-    print(f"  {text:8s} reduces to {reduced:8s} scalar preimage: {flag}")
+    print(f"  {text:20s} reduces to {reduced:20s} scalar preimage: {verdict}")
 print("done")

@@ -14,8 +14,8 @@ from itertools import product, repeat
 from math import prod
 from typing import Iterable, Iterator
 
-from .words import (BraidWord, Kind, degree, free_reduce, parse_word, print_word, sigma,
-                    singularity_count)
+from .words import (BraidWord, Kind, Verdict, degree, equivalent, parse_word, print_word,
+                    sigma, singularity_count)
 
 
 class FormalSum:
@@ -124,11 +124,13 @@ def degree_spectrum(f: FormalSum) -> DegreeSpectrum:
     return dict(sorted(out.items()))
 
 
-def scalar_preimage_check(w: BraidWord) -> bool:
-    """True when eta_hat(w) is certifiably a scalar multiple of the empty
-    word: w free-reduces to nothing.  Words with singular letters always
-    fail, matching the two distinct extremal degrees of their spectrum."""
-    return len(free_reduce(w)) == 0
+def scalar_preimage_check(w: BraidWord) -> Verdict:
+    """Whether eta_hat(w) is a multiple of the empty word e, as the word
+    problem ``equivalent(w, e)``.  Distinct rules it out: a singularity-free
+    word is its own image, separated from e by an invariant of VB_n; a
+    singular word's image has one term at each of the degrees degree(w) -+ d,
+    d >= 1, and degree is an invariant of VB_n, so a nonzero degree stays."""
+    return equivalent(w, BraidWord(w.n))
 
 
 # --- serialisation ------------------------------------------------------

@@ -26,7 +26,7 @@ from functools import lru_cache
 from itertools import permutations
 from typing import Iterable, NamedTuple
 
-from .search import SearchStats, bidirectional_search
+from .search import bidirectional_search
 from .words import (
     BraidWord, Budget, Equivalent, Kind, TraceStep, Unknown, Verdict,
     apply_step, identity_perm, invert_perm, compose_perms, is_perm, invert_step,
@@ -279,28 +279,29 @@ def omega_equivalent(g: GaussWord, h: GaussWord) -> Verdict:
     on g and h with their sections, then bidirectional search over single
     moves under ``Budget.nodes`` and the search's widening arrow cap.  Like
     the word search, it inserts arrows only on the strands g and h touch
-    plus the first untouched one."""
+    plus the first untouched one.  Every Equivalent trace is replayed from
+    g to h before it is returned."""
     if g.n != h.n:
         raise ValueError("strand counts differ")
     cg, trace_g = canonical_form_trace(g)
     ch, trace_h = canonical_form_trace(h)
     if cg == ch:
-        return Equivalent(trace_g + tuple(invert_step(s) for s in reversed(trace_h)))
-    distinct = screen(braid_of_gauss(g), braid_of_gauss(h), g, h)
-    if distinct is not None:
-        return distinct
-
-    touched = {s for a in g.arrows + h.arrows for s in (a.tail, a.head)}
-    untouched = [s for s in range(1, g.n + 1) if s not in touched]
-    strands = sorted(touched.union(untouched[:1]))
-    found = bidirectional_search(
-        g.arrows, h.arrows, lambda state, cap: _omega_moves(state, strands, cap),
-        max_nodes=Budget.nodes)
-    if isinstance(found, SearchStats):
-        return Unknown(*found)
-    trace = tuple(TraceStep(*move) for move in found)
-    if replay_omega_trace(g, trace).arrows != h.arrows:
-        raise AssertionError("search produced a trace that does not replay")
+        trace = trace_g + tuple(invert_step(s) for s in reversed(trace_h))
+    else:
+        distinct = screen(braid_of_gauss(g), braid_of_gauss(h), g, h)
+        if distinct is not None:
+            return distinct
+        touched = {s for a in g.arrows + h.arrows for s in (a.tail, a.head)}
+        untouched = [s for s in range(1, g.n + 1) if s not in touched]
+        strands = sorted(touched.union(untouched[:1]))
+        found = bidirectional_search(
+            g.arrows, h.arrows, lambda state, cap: _omega_moves(state, strands, cap),
+            max_nodes=Budget.nodes)
+        if isinstance(found, Unknown):
+            return found
+        trace = tuple(TraceStep(*move) for move in found)
+    if replay_omega_trace(g, trace) != h:
+        raise AssertionError("omega_equivalent produced a trace that does not replay")
     return Equivalent(trace)
 
 

@@ -61,8 +61,9 @@ class PureWord:
         if type(self.letters) is not tuple:
             raise ValueError(f"letters must be a tuple, got {type(self.letters).__name__}")
         for g in self.letters:
-            if type(g) is not PureGenerator or type(g.kind) is not ArrowKind:
-                raise ValueError(f"letter {g!r} is not a PureGenerator of an ArrowKind")
+            if (type(g) is not PureGenerator or type(g.kind) is not ArrowKind
+                    or type(g.i) is not int or type(g.j) is not int):
+                raise ValueError(f"letter {g!r} is not a PureGenerator of ints and an ArrowKind")
             if not (1 <= g.i <= self.n and 1 <= g.j <= self.n):
                 raise ValueError(f"letter {g} leaves strands 1..{self.n}")
             if g.i == g.j:

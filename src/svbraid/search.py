@@ -16,20 +16,22 @@ from typing import Callable, Hashable, NamedTuple
 SLACK = 4  # the first length cap is the longer end state plus SLACK
 
 
-class SearchStats(NamedTuple):
-    nodes: int
+class Unknown(NamedTuple):
+    """The verdict of a search that ran out of nodes; see ``bidirectional_search``."""
+
+    nodes_explored: int
     depth_forward: int
     depth_backward: int
 
 
 def bidirectional_search(start: Hashable, goal: Hashable, neighbors: Callable,
-                         *, max_nodes: int) -> list[tuple] | SearchStats:
+                         *, max_nodes: int) -> list[tuple] | Unknown:
     """Search from both ends; a list of moves transforms start into goal.
 
     States are capped at the longer end plus SLACK; a round that runs out
     of states under the cap with nodes to spare widens it by 2 (no move
     may change length parity) and searches again on the nodes left.
-    Returns SearchStats instead of a path once ``max_nodes`` states are
+    Returns Unknown instead of a path once ``max_nodes`` states are
     stored: the nodes of all rounds, the depths of the last.
     """
     if start == goal:
@@ -54,7 +56,7 @@ def bidirectional_search(start: Hashable, goal: Hashable, neighbors: Callable,
     cap, spent = max(len(start), len(goal)) + SLACK, 0
     while True:
         if max_nodes - spent < 2:
-            return SearchStats(spent + 2, 0, 0)
+            return Unknown(spent + 2, 0, 0)
         seen_f: dict = {start: None}
         seen_b: dict = {goal: None}
         frontier_f, frontier_b = [start], [goal]
@@ -72,7 +74,7 @@ def bidirectional_search(start: Hashable, goal: Hashable, neighbors: Callable,
                     if child in other:
                         return stitch(child)
                     if len(seen_f) + len(seen_b) > max_nodes - spent:
-                        return SearchStats(spent + len(seen_f) + len(seen_b), depth_f, depth_b)
+                        return Unknown(spent + len(seen_f) + len(seen_b), depth_f, depth_b)
                     new_frontier.append(child)
             if forward:
                 frontier_f = new_frontier
@@ -82,5 +84,5 @@ def bidirectional_search(start: Hashable, goal: Hashable, neighbors: Callable,
                 depth_b += 1
         spent += len(seen_f) + len(seen_b)
         if spent >= max_nodes:
-            return SearchStats(spent, depth_f, depth_b)
+            return Unknown(spent, depth_f, depth_b)
         cap += 2

@@ -28,7 +28,7 @@ from itertools import groupby, product
 from operator import itemgetter
 from typing import Iterable, NamedTuple
 
-from .search import SearchStats, bidirectional_search
+from .search import Unknown, bidirectional_search
 
 
 class Kind(IntEnum):
@@ -85,13 +85,14 @@ class BraidWord:
             raise ValueError(f"strand count must be a positive int, got {self.n!r}")
         if type(self.letters) is not tuple:
             raise ValueError(f"letters must be a tuple, got {type(self.letters).__name__}")
+        top = self.n - 1
         for g in self.letters:
-            if type(g) is not Generator or type(g.kind) is not Kind:
-                raise ValueError(f"letter {g!r} is not a Generator of a Kind")
-            if not 1 <= g.index <= self.n - 1:
+            kind, index = g if type(g) is Generator else (None, None)
+            if type(kind) is not Kind or type(index) is not int:
+                raise ValueError(f"letter {g!r} is not a Generator of a Kind and an int")
+            if not 1 <= index <= top:
                 raise IndexRangeError(
-                    f"letter index {g.index} out of range 1..{self.n - 1} "
-                    f"at {self.n} strands",
+                    f"letter index {index} out of range 1..{top} at {self.n} strands",
                     token=_token(g),
                 )
 
@@ -462,12 +463,12 @@ def _word_search(start: tuple[Generator, ...], goal: tuple[Generator, ...],
     ``_rewrite_rules`` instantiated on the strands they touch plus one to
     route through (at most n).  Letters pack alike at any n, so a
     certificate found there holds at n.  Returns the moves as TraceSteps
-    shifted by ``offset``, or the SearchStats once the node budget is spent."""
+    shifted by ``offset``, or the search's Unknown once the node budget is spent."""
     rules = _rewrite_rules(min(n, _touched_strands(start, goal) + 1))
     found = bidirectional_search(encode_letters(start), encode_letters(goal),
                                  lambda state, cap: _byte_neighbors(state, rules, cap),
                                  max_nodes=max_nodes)
-    if isinstance(found, SearchStats):
+    if isinstance(found, Unknown):
         return found
     return tuple(TraceStep(label, p + offset, decode_letters(pat), decode_letters(rep))
                  for label, p, pat, rep in found)
@@ -499,20 +500,13 @@ class Distinct:
     right: object
 
 
-@dataclass(frozen=True)
-class Unknown:
-    nodes_explored: int
-    depth_forward: int
-    depth_backward: int
-
-
 Verdict = Equivalent | Distinct | Unknown
 
 
 def _diagram_normal_trace(w: BraidWord, section: tuple[Generator, ...], budget: Budget):
     """Trace from w to ``section``, the letters of the section
     ``braid_of_gauss(gauss_of_braid(w))`` of w's Gauss diagram, or the
-    SearchStats of the first slide search that fails.
+    Unknown of the first slide search that fails.
 
     One pass left to right.  The virtual letters met so far form a frame;
     at each crossing the frame is straightened and the crossing slides
@@ -535,7 +529,7 @@ def _diagram_normal_trace(w: BraidWord, section: tuple[Generator, ...], budget: 
         frame = _straighten((rho(y.index),) + a[::-1] + c + (rho(x.index),))[0]
         if c + (x,) != a + (y,) + frame:
             found = _word_search(c + (x,), a + (y,) + frame, w.n, budget.nodes, done)
-            if isinstance(found, SearchStats):
+            if isinstance(found, Unknown):
                 return found
             trace += found
         done = k + 1
@@ -579,7 +573,7 @@ def equivalent(u: BraidWord, v: BraidWord, budget: Budget = Budget()) -> Verdict
     words with equal diagrams are both normalised to the section
     ``braid_of_gauss`` of that diagram (a word that is its own section
     needs no search at all); any other pair goes to the global word
-    search.  Unknown carries the SearchStats of the search that failed.
+    search.  Unknown is the verdict of the search that failed, as it is.
     Every Equivalent trace is replayed from u to v before it is returned.
     """
     if u.n != v.n:
@@ -599,14 +593,14 @@ def equivalent(u: BraidWord, v: BraidWord, budget: Budget = Budget()) -> Verdict
     elif g == h:
         section = braid_of_gauss(g).letters
         middle = _diagram_normal_trace(ur, section, budget)
-        if not isinstance(middle, SearchStats):
+        if not isinstance(middle, Unknown):
             tv = _diagram_normal_trace(vr, section, budget)
-            middle = tv if isinstance(tv, SearchStats) else \
+            middle = tv if isinstance(tv, Unknown) else \
                 middle + tuple(invert_step(s) for s in reversed(tv))
     else:
         middle = _word_search(ur.letters, vr.letters, u.n, budget.nodes)
-    if isinstance(middle, SearchStats):
-        return Unknown(*middle)
+    if isinstance(middle, Unknown):
+        return middle
     trace = trace_u + middle + tuple(invert_step(s) for s in reversed(trace_v))
     if replay_trace(u, trace).letters != v.letters:
         raise AssertionError("equivalent produced a trace that does not replay")

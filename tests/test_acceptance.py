@@ -127,8 +127,8 @@ def test_criterion_07_semidirect_homomorphism():
 
 def test_criterion_08_scalar_preimage():
     def body():
-        # every word of length 0..6 over s1, s1', r1, t1 (4096 in all): the
-        # check agrees with free reduction, and d >= 1 gives two degrees
+        # every word of length 0..6 over s1, s1', r1, t1 (5,461 in all): each
+        # is decided, and d >= 1 gives two degrees
         report = suite_scalar_preimage(2)
         assert report.counts() == (7, 0), report.checks
     _timed(8, 30.0, body)

@@ -4,10 +4,10 @@ import random
 import pytest
 
 from svbraid import (
-    BraidWord, FormalSum, Generator, Kind, degree, degree_spectrum, eta, eta_hat,
-    eta_hat_expansion, flatten, formal_sum_from_dicts, formal_sum_to_dicts,
-    free_reduce, parse_word, print_word, scalar_preimage_check,
-    singularity_count,
+    BraidWord, Distinct, Equivalent, FormalSum, Generator, Kind, Unknown, degree,
+    degree_spectrum, eta, eta_hat, eta_hat_expansion, flatten, formal_sum_from_dicts,
+    formal_sum_to_dicts, free_reduce, parse_word, print_word, replay_trace,
+    scalar_preimage_check, singularity_count,
 )
 from svbraid.suites import random_word
 
@@ -176,16 +176,27 @@ def test_formal_sum_rejects_malformed_data():
 
 
 def test_scalar_preimage_examples():
-    assert scalar_preimage_check(parse_word("e", 2))
-    assert scalar_preimage_check(parse_word("s1 s1'", 2))
-    assert scalar_preimage_check(parse_word("r1 r1", 2))
-    assert not scalar_preimage_check(parse_word("r1", 2))
-    assert not scalar_preimage_check(parse_word("t1", 2))
-    assert not scalar_preimage_check(parse_word("s1 s1", 2))
+    for text in ("e", "s1 s1'", "r1 r1"):
+        assert isinstance(scalar_preimage_check(parse_word(text, 2)), Equivalent), text
+    for text in ("r1", "t1", "s1 s1"):
+        assert isinstance(scalar_preimage_check(parse_word(text, 2)), Distinct), text
+
+
+def test_scalar_preimage_beyond_free_reduction():
+    # freely reduced, yet equal to e by the braid relation
+    w = parse_word("s1 s2 s1 s2' s1' s2'", 3)
+    assert free_reduce(w) == w
+    verdict = scalar_preimage_check(w)
+    assert isinstance(verdict, Equivalent)
+    assert replay_trace(w, verdict.trace) == BraidWord(3)
 
 
 def test_scalar_preimage_matches_reduction():
+    # a word that free-reduces to e is Equivalent, and every word is decided
     rng = random.Random(17)
     for _ in range(300):
         w = random_word(rng, rng.randint(2, 4), 8)
-        assert scalar_preimage_check(w) == (len(free_reduce(w)) == 0)
+        verdict = scalar_preimage_check(w)
+        assert not isinstance(verdict, Unknown), print_word(w)
+        if len(free_reduce(w)) == 0:
+            assert isinstance(verdict, Equivalent), print_word(w)

@@ -245,6 +245,24 @@ def test_omega_swaps_disjoint_arrows():
     assert replay_omega_trace(g, v.trace).arrows == h.arrows
 
 
+def test_every_omega_certificate_is_replayed_once(monkeypatch):
+    calls = []
+    replay = gauss.replay_omega_trace
+
+    def recording(g, trace):
+        calls.append(g)
+        return replay(g, trace)
+
+    monkeypatch.setattr(gauss, "replay_omega_trace", recording)
+    for n, left, right in ((4, "s1 s3", "s3 s1"),   # commutation-canonical form
+                           (3, "t1 s1", "s1 t1")):  # search
+        g, h = (gauss_of_braid(parse_word(text, n)) for text in (left, right))
+        calls.clear()
+        verdict = omega_equivalent(g, h)
+        assert isinstance(verdict, Equivalent)
+        assert calls == [g]
+
+
 def test_omega_equivalent_unknown_at_its_node_limit(monkeypatch):
     # the D4 pair passes every screen but needs the second S4 orientation,
     # which the catalog lacks; it becomes provable once that row is added

@@ -37,7 +37,8 @@ def test_pure_word_parse_print():
     assert PureWord(3, letters).letters is letters
     # one input format: a tuple of PureGenerators of an ArrowKind
     for bad in (((1, 2, 0),), [X(1, 2)], (Arrow(1, 2, ArrowKind.POS),),
-                (PureGenerator(1, 2, 7),)):
+                (PureGenerator(1, 2, 7),), (PureGenerator(1.0, 2, ArrowKind.POS),),
+                (PureGenerator(1, True, ArrowKind.POS),)):
         with pytest.raises(ValueError):
             PureWord(3, bad)
     with pytest.raises(ValueError):

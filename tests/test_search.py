@@ -1,4 +1,4 @@
-from svbraid.search import SLACK, SearchStats, bidirectional_search
+from svbraid.search import SLACK, Unknown, bidirectional_search
 
 
 def flip_neighbors(caps):
@@ -33,7 +33,7 @@ def test_search_widens_its_cap_and_counts_every_round():
     # runs out, and the second needs 8 nodes to meet: 11 in all stop it one
     # node over, counting both rounds, and 12 find the path
     assert bidirectional_search("a", "b", flip_neighbors([]), max_nodes=4) \
-        == SearchStats(4, 3, 0)
+        == Unknown(4, 3, 0)
     assert bidirectional_search("a", "b", flip_neighbors([]), max_nodes=11) \
-        == SearchStats(4 + 8, 5, 0)
+        == Unknown(4 + 8, 5, 0)
     assert bidirectional_search("a", "b", flip_neighbors([]), max_nodes=12) == path

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from svbraid import Equivalent, TraceStep, suites
+from svbraid import Equivalent, TraceStep, Unknown, suites
 from svbraid.suites import (SUITE_NAMES, random_gauss, random_word, run_suite)
 
 
@@ -23,6 +23,15 @@ def test_relations_suite_fails_a_certificate_over_six_moves(monkeypatch):
     assert not report.passed
     assert all(not c.passed and c.detail == "mismatch: omega:7 moves"
                for c in report.checks)
+
+
+def test_scalar_suite_fails_on_an_undecided_word(monkeypatch):
+    monkeypatch.setattr(suites, "scalar_preimage_check", lambda w: Unknown(3, 0, 0))
+    report = suites.suite_scalar_preimage(3)
+    assert not report.passed
+    assert all(not c.passed and c.detail.startswith("undecided on ")
+               for c in report.checks)
+    assert report.checks[0].detail == "undecided on e"
 
 
 def test_every_suite_needs_two_strands():

@@ -9,9 +9,8 @@ from svbraid import (
     invert_step, mirror, parse_word, print_word, relation_catalog,
     replay_trace, rho, sigma, singularity_count, tau, theta, virtual_word_of_perm,
 )
-from svbraid import gauss, rep, words
+from svbraid import gauss, rep, search, words
 from svbraid.gauss import braid_of_gauss, gauss_of_braid
-from svbraid.search import SearchStats
 from svbraid.suites import random_gauss, random_word
 
 
@@ -78,10 +77,12 @@ def test_word_container_basics():
             BraidWord(n, (sigma(1),))
     with pytest.raises(IndexRangeError):
         BraidWord(2, (sigma(5),))
-    # one input format: a tuple of Generators of a Kind
-    for bad in (((0, 1),), [sigma(1)], (Generator(7, 1),)):
+    # one input format: a tuple of Generators of a Kind and an int index (at
+    # n=3, where the indices 1.5 and True pass the range check)
+    for bad in (((0, 1),), [sigma(1)], (Generator(7, 1),),
+                (Generator(Kind.POS, 1.5),), (Generator(Kind.POS, True),)):
         with pytest.raises(ValueError):
-            BraidWord(2, bad)
+            BraidWord(3, bad)
 
 
 def test_concat_and_inverse():
@@ -511,6 +512,8 @@ def test_failed_normalisation_skips_the_second_word(monkeypatch):
                             for start, goal, _ in searches)
     assert isinstance(verdict, Unknown) and verdict.nodes_explored <= 11
     assert verdict == Unknown(*searches[-1][2])
+    # the failed search's own record is the verdict
+    assert verdict is searches[-1][2]
 
 
 def test_equivalent_unknown_reports_effort():
@@ -526,6 +529,15 @@ def test_equivalent_unknown_reports_effort():
     verdict = equivalent(parse_word("s1 t2", 3), parse_word("r1 s1 r1 t2", 3),
                          Budget(nodes=2000))
     assert isinstance(verdict, Distinct) and verdict.invariant == "burau"
+
+
+def test_one_failure_record():
+    # the search's record is the verdict, under one name, and stays indexable
+    assert Unknown is words.Unknown is search.Unknown
+    verdict = equivalent(parse_word("s1' s2' s1'", 3), parse_word("s2' s1' s2'", 3),
+                         Budget(nodes=900))
+    assert repr(verdict) == "Unknown(nodes_explored=901, depth_forward=1, depth_backward=1)"
+    assert verdict[0] == verdict.nodes_explored == 901
 
 
 def test_every_deepening_round_counts_against_the_budget():
