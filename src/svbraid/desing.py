@@ -10,12 +10,12 @@ words and nothing merges: ``t1 t1`` gives four terms of coefficient +-1.
 
 from __future__ import annotations
 
-from itertools import product, repeat
+from itertools import product
 from math import prod
 from typing import Iterable, Iterator
 
-from .words import (BraidWord, Kind, Verdict, degree, equivalent, parse_word, print_word,
-                    sigma, singularity_count)
+from .words import (BraidWord, Kind, Verdict, _trusted, degree, equivalent, parse_word,
+                    print_word, sigma, singularity_count)
 
 
 class FormalSum:
@@ -80,6 +80,8 @@ def eta_hat_expansion(w: BraidWord) -> Iterator[tuple[int, BraidWord]]:
     the branches come in ``itertools.product`` order over the per-letter
     choices.  The sign is the parity of negative choices: the product of
     the same choices read as +-1.  Exactly 2^d branches for d singularities.
+    A branch's letters are w's own and classical letters at w's indices,
+    so the branch words are built without validating them again.
     """
     d = singularity_count(w)
     if d > MAX_SINGULARITIES:
@@ -88,7 +90,7 @@ def eta_hat_expansion(w: BraidWord) -> Iterator[tuple[int, BraidWord]]:
     choices = [(sigma(g.index), sigma(g.index, -1)) if g.kind == Kind.SING else (g,)
                for g in w.letters]
     return zip(map(prod, product((1, -1), repeat=d)),
-               map(BraidWord, repeat(w.n), product(*choices)))
+               (_trusted(BraidWord, n=w.n, letters=ls) for ls in product(*choices)))
 
 
 def eta_hat(w: BraidWord) -> FormalSum:

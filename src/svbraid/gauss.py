@@ -29,7 +29,7 @@ from typing import Iterable, NamedTuple
 from .search import bidirectional_search
 from .words import (
     BraidWord, Budget, Equivalent, Kind, TraceStep, Unknown, Verdict,
-    apply_step, identity_perm, invert_perm, compose_perms, is_perm, invert_step,
+    _trusted, apply_step, identity_perm, invert_perm, compose_perms, is_perm, invert_step,
     mirror, relation_catalog, rho, screen, sigma, tau, virtual_word_of_perm,
 )
 
@@ -48,6 +48,12 @@ class Arrow(NamedTuple):
 
 @dataclass(frozen=True)
 class GaussWord:
+    """Arrows between strands 1..n in time order, and the strand
+    permutation (the identity when ``perm`` is left empty).  The public
+    constructor validates every field; ``gauss_of_braid`` and
+    ``canonical_form_trace``, whose fields derive from a validated word or
+    diagram, build it without ``__post_init__``."""
+
     n: int
     arrows: tuple[Arrow, ...] = ()
     perm: tuple[int, ...] = ()
@@ -89,7 +95,7 @@ def gauss_of_braid(w: BraidWord) -> GaussWord:
         elif g.kind == Kind.SING:
             arrows.append(Arrow(a, b, ArrowKind.SING))
         pos[i], pos[i + 1] = b, a
-    return GaussWord(w.n, tuple(arrows), invert_perm(tuple(pos)))
+    return _trusted(GaussWord, n=w.n, arrows=tuple(arrows), perm=invert_perm(tuple(pos)))
 
 
 def braid_of_gauss(g: GaussWord) -> BraidWord:
@@ -117,7 +123,7 @@ def braid_of_gauss(g: GaussWord) -> BraidWord:
 
     residual = compose_perms(tuple(pos), g.perm)
     tail = virtual_word_of_perm(residual)
-    return BraidWord(g.n, tuple(letters) + tail.letters)
+    return _trusted(BraidWord, n=g.n, letters=tuple(letters) + tail.letters)
 
 
 # --- invariants ---------------------------------------------------------
@@ -165,6 +171,8 @@ def canonical_form_trace(g: GaussWord) -> tuple[GaussWord, tuple[TraceStep, ...]
         best = _arrow_key(arrows[q])
         blocked = {arrows[q].tail, arrows[q].head}
         for j in range(q + 1, len(arrows)):
+            if len(blocked) >= g.n - 1:
+                break  # an arrow joins two strands, so none misses them all from here
             a = arrows[j]
             # movable to the front of the suffix iff it misses every strand before it
             if a.tail not in blocked and a.head not in blocked:
@@ -176,7 +184,7 @@ def canonical_form_trace(g: GaussWord) -> tuple[GaussWord, tuple[TraceStep, ...]
             a, b = arrows[j - 1], arrows[j]
             trace.append(TraceStep("swap", j - 1, (a, b), (b, a)))
             arrows[j - 1], arrows[j] = b, a
-    return GaussWord(g.n, tuple(arrows), g.perm), tuple(trace)
+    return _trusted(GaussWord, n=g.n, arrows=tuple(arrows), perm=g.perm), tuple(trace)
 
 
 def canonical_form(g: GaussWord) -> GaussWord:

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from typing import Iterable, NamedTuple
 
 from .words import (
-    BraidWord, Equivalent, Kind, Perm, Verdict, compose_perms, concat,
+    BraidWord, Equivalent, Kind, Perm, Verdict, _trusted, compose_perms, concat,
     inverse_word, invert_perm, is_perm, tau, virtual_word_of_perm,
 )
 from .gauss import (
@@ -52,6 +52,10 @@ def Y(i: int, j: int) -> PureGenerator:
 
 @dataclass(frozen=True)
 class PureWord:
+    """X/Y letters on strands 1..n.  The public constructor validates them;
+    ``decompose`` and ``sp_relation_instances``, which read the letters off
+    validated diagrams, build it without ``__post_init__``."""
+
     n: int
     letters: tuple[PureGenerator, ...] = ()
 
@@ -143,7 +147,8 @@ def decompose(w: BraidWord) -> SemidirectPair:
 
 
 def _pure_word(n: int, arrows: Iterable[Arrow]) -> PureWord:
-    return PureWord(n, tuple(PureGenerator(*a) for a in arrows))
+    """The arrows of a diagram on n strands, read as X/Y letters."""
+    return _trusted(PureWord, n=n, letters=tuple(PureGenerator(*a) for a in arrows))
 
 
 def reassemble_pair(pair: SemidirectPair) -> BraidWord:
@@ -249,10 +254,11 @@ def factor_singular(w: BraidWord) -> SingularFactorization:
     taus = []
     for g in w.letters:
         if g.kind == Kind.SING:
-            taus.append((BraidWord(w.n, tuple(prefix)), g.index))
+            taus.append((_trusted(BraidWord, n=w.n, letters=tuple(prefix)), g.index))
         else:
             prefix.append(g)
-    return SingularFactorization(w.n, tuple(taus), BraidWord(w.n, tuple(prefix)))
+    return SingularFactorization(w.n, tuple(taus),
+                                 _trusted(BraidWord, n=w.n, letters=tuple(prefix)))
 
 
 def reassemble_factorization(f: SingularFactorization) -> BraidWord:

@@ -42,10 +42,15 @@ class SuiteReport:
 
 
 def random_word(rng: random.Random, n: int, max_len: int,
-                kinds: tuple[Kind, ...] = (Kind.POS, Kind.NEG, Kind.VIRT, Kind.SING),
-                ) -> BraidWord:
+                kinds: tuple[Kind, ...] = tuple(Kind)) -> BraidWord:
+    """A word of 0..max_len letters, the length drawn first."""
+    return random_word_of_length(rng, n, rng.randint(0, max_len), kinds)
+
+
+def random_word_of_length(rng: random.Random, n: int, length: int,
+                          kinds: tuple[Kind, ...] = tuple(Kind)) -> BraidWord:
     return BraidWord(n, tuple(Generator(rng.choice(kinds), rng.randint(1, n - 1))
-                              for _ in range(rng.randint(0, max_len))))
+                              for _ in range(length)))
 
 
 def random_gauss(rng: random.Random, n: int, max_arrows: int) -> GaussWord:
@@ -138,7 +143,7 @@ def suite_scalar_preimage(n: int, seed: int = 0) -> SuiteReport:
             pool = [ls + [g] for ls in pool for g in alphabet]
     else:
         for length in range(0, 7):
-            words = [random_word(rng, n, length) for _ in range(80)]
+            words = [random_word_of_length(rng, n, length) for _ in range(80)]
             ok, detail = _scalar_batch(words)
             checks.append(SuiteCheck(f"len-{length}", ok, detail))
     return SuiteReport("scalar-preimage", n, seed, tuple(checks))

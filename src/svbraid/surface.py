@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .words import BraidWord, Kind
+from .words import BraidWord, Kind, _trusted
 
 CROSSING = "crossing"
 CIRCLE = "circle"
@@ -29,6 +29,11 @@ CIRCLE = "circle"
 
 @dataclass(frozen=True)
 class RibbonGraph:
+    """Darts with their rotation, pairing and vertex, and each vertex's
+    kind.  The public constructor checks that they form a ribbon graph
+    with the two closure circles; ``ribbon_of_braid``, which builds one
+    from a validated word, does not run that check."""
+
     rotation: tuple[int, ...]
     pairing: tuple[int, ...]
     dart_vertex: tuple[int, ...]
@@ -65,56 +70,38 @@ class RibbonGraph:
 
 
 def ribbon_of_braid(w: BraidWord) -> RibbonGraph:
-    rotation: dict[int, int] = {}
-    pairing: dict[int, int] = {}
-    dart_vertex: list[int] = []
-    vertex_kind: list[str] = []
-
-    def new_dart(vertex: int) -> int:
-        dart_vertex.append(vertex)
-        return len(dart_vertex) - 1
-
-    def close_cycle(darts: list[int]) -> None:
-        for a, b in zip(darts, darts[1:] + darts[:1]):
-            rotation[a] = b
-
-    left = 0
-    vertex_kind.append(CIRCLE)
-    left_darts = [new_dart(left) for _ in range(w.n)]
-    # bottom to top: slot n first in the counterclockwise cycle
-    close_cycle(list(reversed(left_darts)))
-
-    wires = list(left_darts)
+    """Darts 0..n-1 on the left circle (vertex 0), four darts per crossing
+    (vertices 1..m, in word order), then n darts on the right circle."""
+    n = w.n
+    m = sum(g.kind != Kind.VIRT for g in w.letters)
+    count = 2 * n + 4 * m
+    rotation = [0] * count
+    pairing = [0] * count
+    # left circle: dart d sits at slot d+1; bottom to top, slot n first
+    for d in range(n):
+        rotation[d] = (d - 1) % n
+    wires = list(range(n))
+    base = n
     for g in w.letters:
         i = g.index - 1
         if g.kind == Kind.VIRT:
             wires[i], wires[i + 1] = wires[i + 1], wires[i]
             continue
-        v = len(vertex_kind)
-        vertex_kind.append(CROSSING)
-        out_upper, in_upper, in_lower, out_lower = (new_dart(v) for _ in range(4))
-        close_cycle([out_upper, in_upper, in_lower, out_lower])
-        pairing[wires[i]] = in_upper
-        pairing[in_upper] = wires[i]
-        pairing[wires[i + 1]] = in_lower
-        pairing[in_lower] = wires[i + 1]
-        wires[i], wires[i + 1] = out_upper, out_lower
-
-    right = len(vertex_kind)
-    vertex_kind.append(CIRCLE)
-    right_darts = [new_dart(right) for _ in range(w.n)]
-    close_cycle(right_darts)
-    for wire, dart in zip(wires, right_darts):
-        pairing[wire] = dart
-        pairing[dart] = wire
-
-    count = len(dart_vertex)
-    return RibbonGraph(
-        rotation=tuple(rotation[d] for d in range(count)),
-        pairing=tuple(pairing[d] for d in range(count)),
-        dart_vertex=tuple(dart_vertex),
-        vertex_kind=tuple(vertex_kind),
-    )
+        # out-upper, in-upper, in-lower, out-lower are base .. base+3
+        rotation[base:base + 4] = base + 1, base + 2, base + 3, base
+        pairing[wires[i]], pairing[base + 1] = base + 1, wires[i]
+        pairing[wires[i + 1]], pairing[base + 2] = base + 2, wires[i + 1]
+        wires[i], wires[i + 1] = base, base + 3
+        base += 4
+    # right circle: dart base+j sits at slot j+1; top to bottom
+    for j, wire in enumerate(wires):
+        rotation[base + j] = base + (j + 1) % n
+        pairing[wire], pairing[base + j] = base + j, wire
+    return _trusted(
+        RibbonGraph, rotation=tuple(rotation), pairing=tuple(pairing),
+        dart_vertex=(0,) * n + tuple(v for v in range(1, m + 1) for _ in range(4))
+        + (m + 1,) * n,
+        vertex_kind=(CIRCLE,) + (CROSSING,) * m + (CIRCLE,))
 
 
 def boundary_components(r: RibbonGraph) -> int:

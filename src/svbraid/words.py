@@ -72,10 +72,21 @@ class IndexRangeError(ValueError):
         self.position = position
 
 
+def _trusted(cls, **fields):
+    """An instance of the frozen dataclass ``cls`` holding ``fields``, built
+    without ``__post_init__``.  Only for library builders whose every field
+    derives from objects that were validated already."""
+    obj = object.__new__(cls)
+    obj.__dict__.update(fields)
+    return obj
+
+
 @dataclass(frozen=True)
 class BraidWord:
     """Immutable word; ``n`` is the strand count and ``letters`` a tuple of
-    ``Generator``s, validated and stored as given."""
+    ``Generator``s, stored as given.  The public constructor validates
+    them; library builders that derive a word from validated objects build
+    it with ``_trusted``, without that check."""
 
     n: int
     letters: tuple[Generator, ...] = ()
@@ -151,10 +162,28 @@ def print_word(w: BraidWord) -> str:
     return " ".join(_token(g) for g in w.letters)
 
 
+_TOKEN_KIND = {("s", None): Kind.POS, ("s", "'"): Kind.NEG, ("s", "^-1"): Kind.NEG,
+               ("r", None): Kind.VIRT, ("t", None): Kind.SING}
+
+
+@lru_cache(maxsize=1024)
+def _token_letter(token: str) -> Generator | None:
+    """The letter ``token`` names at any strand count, or None when it is
+    malformed or has index 0.  Cached by token, not by strand count, so a
+    word at many strands costs no table of every index."""
+    m = _TOKEN_RE.match(token)
+    kind = m and _TOKEN_KIND.get((m[1], m[3]))
+    return Generator(kind, int(m[2])) if kind is not None and int(m[2]) else None
+
+
 def parse_word(text: str, n: int) -> BraidWord:
     """Parse whitespace-separated tokens; ``e`` alone is the empty word."""
     if n < 2:
         raise ValueError(f"strand count must be at least 2 to parse, got {n}")
+    letters = tuple(map(_token_letter, str.split(text)))  # TypeError unless text
+    if letters and None not in letters and max(map(itemgetter(1), letters)) < n:
+        return BraidWord(n, letters)
+    # the empty word, or a fault to report with its column
     spans = [(m.group(), m.start() + 1) for m in re.finditer(r"\S+", text)]
     if not spans:
         raise ParseError("empty input; the empty word is written 'e'", 1)
@@ -178,12 +207,7 @@ def parse_word(text: str, n: int) -> BraidWord:
                 token=tok,
                 position=pos,
             )
-        if char == "s":
-            letters.append(sigma(index, -1 if suffix else 1))
-        elif char == "r":
-            letters.append(rho(index))
-        else:
-            letters.append(tau(index))
+        letters.append(_token_letter(tok))
     return BraidWord(n, tuple(letters))
 
 
@@ -230,7 +254,7 @@ def virtual_word_of_perm(p: Perm) -> BraidWord:
     normal form: one run r<a> ... r<j> per slot j, empty when a = j-1.
     """
     n = len(p)
-    if not is_perm(p):
+    if not n or not is_perm(p):
         raise ValueError(f"bad permutation {p}")
     target = list(invert_perm(p))
     pos = list(range(1, n + 1))
@@ -240,7 +264,7 @@ def virtual_word_of_perm(p: Perm) -> BraidWord:
         for m in range(c, k, -1):
             letters.append(rho(m))
             pos[m - 1], pos[m] = pos[m], pos[m - 1]
-    return BraidWord(n, tuple(letters))
+    return _trusted(BraidWord, n=n, letters=tuple(letters))
 
 
 def degree(w: BraidWord) -> int:

@@ -124,6 +124,34 @@ def test_canonical_form_is_least_of_commutation_class():
         assert all(step.label == "swap" for step in trace)
 
 
+def _full_scan_canonical_form(g):
+    """The greedy selection of ``canonical_form_trace`` scanning every later
+    arrow, with no stop once at most one strand is uncrossed."""
+    arrows, trace = list(g.arrows), []
+    for q in range(len(arrows)):
+        best_j, best = q, gauss._arrow_key(arrows[q])
+        blocked = {arrows[q].tail, arrows[q].head}
+        for j in range(q + 1, len(arrows)):
+            a = arrows[j]
+            if a.tail not in blocked and a.head not in blocked and gauss._arrow_key(a) < best:
+                best, best_j = gauss._arrow_key(a), j
+            blocked.update((a.tail, a.head))
+        for j in range(best_j, q, -1):
+            a, b = arrows[j - 1], arrows[j]
+            trace.append(TraceStep("swap", j - 1, (a, b), (b, a)))
+            arrows[j - 1], arrows[j] = b, a
+    return GaussWord(g.n, tuple(arrows), g.perm), tuple(trace)
+
+
+def test_canonical_form_scan_stops_without_changing_the_result():
+    rng = random.Random(26)
+    for _ in range(500):
+        n = rng.randint(2, 6)
+        g = random_gauss(rng, n, 14) if rng.random() < 0.5 else \
+            gauss_of_braid(random_word(rng, n, 20))
+        assert canonical_form_trace(g) == _full_scan_canonical_form(g)
+
+
 def test_canonical_form_keeps_linked_order():
     g = gauss_of_braid(parse_word("s2 s1", 3))
     assert canonical_form(g).arrows == g.arrows
