@@ -2,18 +2,15 @@
 
 A diagram is a time-ordered list of arrows between n strands plus the
 strand permutation.  Strands are named by their starting slot.  An arrow
-records one real crossing:
-
-  * positive classical: from the over strand to the under strand, kind POS;
-  * negative classical: from the over strand (the one entering the lower
-    slot) to the under strand, kind NEG;
-  * singular: tail is the strand entering the upper slot, kind SING.
+records one real crossing and has its letter's kind, POS, NEG or SING: the
+tail is the over strand (for a singular crossing, the strand entering the
+upper slot), and the crossing sits at the upper of its two slots.  So a
+NEG arrow's tail enters the lower slot, and every other tail the upper.
 
 Virtual letters produce no arrow at all: they only permute slots.  This
 fixes the translation ``gauss_of_braid`` exactly; ``braid_of_gauss`` is
 the deterministic section that routes each arrow's head next to its tail
-with virtual letters (tail kept in the upper slot for POS/SING arrows, in
-the lower slot for NEG), emits the crossing, and closes with a virtual
+with virtual letters, emits the crossing, and closes with a virtual
 word realising the residual permutation.  The round trip
 ``gauss_of_braid(braid_of_gauss(g)) == g`` is exact.
 """
@@ -28,9 +25,9 @@ from typing import Iterable, NamedTuple
 
 from .search import bidirectional_search
 from .words import (
-    BraidWord, Budget, Equivalent, Kind, TraceStep, Unknown, Verdict,
+    BraidWord, Budget, Equivalent, Generator, Kind, TraceStep, Unknown, Verdict,
     _trusted, apply_step, identity_perm, invert_perm, compose_perms, is_perm, invert_step,
-    mirror, relation_catalog, rho, screen, sigma, tau, virtual_word_of_perm,
+    mirror, relation_catalog, screen, virtual_word_of_perm,
 )
 
 
@@ -38,6 +35,11 @@ class ArrowKind(IntEnum):
     POS = 0
     NEG = 1
     SING = 2
+
+
+# The crossing kind of each letter that draws an arrow; virtual letters draw none.
+_ARROW_KIND = {Kind.POS: ArrowKind.POS, Kind.NEG: ArrowKind.NEG, Kind.SING: ArrowKind.SING}
+_LETTER_KIND = {v: k for k, v in _ARROW_KIND.items()}
 
 
 class Arrow(NamedTuple):
@@ -85,50 +87,40 @@ class GaussWord:
 def gauss_of_braid(w: BraidWord) -> GaussWord:
     pos = list(range(1, w.n + 1))
     arrows = []
-    for g in w.letters:
-        i = g.index - 1
-        a, b = pos[i], pos[i + 1]
-        if g.kind == Kind.POS:
-            arrows.append(Arrow(a, b, ArrowKind.POS))
-        elif g.kind == Kind.NEG:
-            arrows.append(Arrow(b, a, ArrowKind.NEG))
-        elif g.kind == Kind.SING:
-            arrows.append(Arrow(a, b, ArrowKind.SING))
-        pos[i], pos[i + 1] = b, a
+    for kind, i in w.letters:
+        a, b = pos[i - 1], pos[i]
+        arrow_kind = _ARROW_KIND.get(kind)
+        if arrow_kind is not None:
+            arrows.append(Arrow(b, a, arrow_kind) if arrow_kind == ArrowKind.NEG
+                          else Arrow(a, b, arrow_kind))
+        pos[i - 1], pos[i] = b, a
     return _trusted(GaussWord, n=w.n, arrows=tuple(arrows), perm=invert_perm(tuple(pos)))
 
 
 def braid_of_gauss(g: GaussWord) -> BraidWord:
-    pos = list(range(1, g.n + 1))
+    pos = list(range(g.n + 1))  # the strand at each slot 1..n
+    slot = pos[:]               # the slot of each strand 1..n
     letters = []
 
-    def swap(i: int):
-        letters.append(rho(i))
-        pos[i - 1], pos[i] = pos[i], pos[i - 1]
+    def cross(kind: Kind, i: int):
+        letters.append(Generator(kind, i))
+        a, b = pos[i], pos[i + 1]
+        pos[i], pos[i + 1], slot[a], slot[b] = b, a, i + 1, i
 
-    for ar in g.arrows:
-        if ar.kind == ArrowKind.NEG:
-            while pos.index(ar.head) != pos.index(ar.tail) - 1:
-                sh, st = pos.index(ar.head) + 1, pos.index(ar.tail) + 1
-                swap(sh if sh < st - 1 else sh - 1)
-            i = pos.index(ar.head) + 1
-            letters.append(sigma(i, -1))
-        else:
-            while pos.index(ar.head) != pos.index(ar.tail) + 1:
-                sh, st = pos.index(ar.head) + 1, pos.index(ar.tail) + 1
-                swap(sh - 1 if sh > st + 1 else sh)
-            i = pos.index(ar.tail) + 1
-            letters.append(sigma(i) if ar.kind == ArrowKind.POS else tau(i))
-        pos[i - 1], pos[i] = pos[i], pos[i - 1]
+    for tail, head, kind in g.arrows:
+        side = -1 if kind == ArrowKind.NEG else 1
+        while (h := slot[head]) != (target := slot[tail] + side):
+            cross(Kind.VIRT, h if h < target else h - 1)
+        cross(_LETTER_KIND[kind], min(h, slot[tail]))
 
-    residual = compose_perms(tuple(pos), g.perm)
-    tail = virtual_word_of_perm(residual)
-    return _trusted(BraidWord, n=g.n, letters=tuple(letters) + tail.letters)
+    closing = virtual_word_of_perm(compose_perms(tuple(pos[1:]), g.perm))
+    return _trusted(BraidWord, n=g.n, letters=tuple(letters) + closing.letters)
 
 
 # --- invariants ---------------------------------------------------------
 
 PairInvariant = dict[tuple[int, int], tuple[int, int]]
+_PAIR_STEP = {ArrowKind.POS: (1, 0), ArrowKind.NEG: (-1, 0), ArrowKind.SING: (0, 1)}
 
 
 def pair_invariants(g: GaussWord) -> PairInvariant:
@@ -136,20 +128,13 @@ def pair_invariants(g: GaussWord) -> PairInvariant:
     crossing count).  All-zero pairs are omitted.  Invariant under every
     omega move: cancellations leave the sums alone, reorderings obviously so.
     """
-    writhe: dict[tuple[int, int], int] = {}
-    sing: dict[tuple[int, int], int] = {}
-    for a in g.arrows:
-        key = (min(a.tail, a.head), max(a.tail, a.head))
-        if a.kind == ArrowKind.SING:
-            sing[key] = sing.get(key, 0) + 1
-        else:
-            writhe[key] = writhe.get(key, 0) + (1 if a.kind == ArrowKind.POS else -1)
     out: PairInvariant = {}
-    for key in sorted(set(writhe) | set(sing)):
-        w, s = writhe.get(key, 0), sing.get(key, 0)
-        if w or s:
-            out[key] = (w, s)
-    return out
+    for a in g.arrows:
+        key = (a.tail, a.head) if a.tail < a.head else (a.head, a.tail)
+        w, s = out.get(key, (0, 0))
+        dw, ds = _PAIR_STEP[a.kind]
+        out[key] = (w + dw, s + ds)
+    return {key: ws for key, ws in sorted(out.items()) if ws != (0, 0)}
 
 
 def _arrow_key(a: Arrow):

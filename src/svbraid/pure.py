@@ -93,7 +93,7 @@ def print_pure_word(p: PureWord) -> str:
 
 def parse_pure_word(text: str, n: int) -> PureWord:
     """Parse whitespace-separated tokens; ``e`` alone is the empty word."""
-    tokens = text.split()
+    tokens = str.split(text)  # TypeError unless text
     if not tokens:
         raise ValueError("empty input; the empty word is written 'e'")
     if tokens == ["e"]:

@@ -41,18 +41,19 @@ class RibbonGraph:
 
     def __post_init__(self):
         darts = range(len(self.rotation))
+        if len(self.pairing) != len(darts) or len(self.dart_vertex) != len(darts):
+            raise ValueError("pairing, dart_vertex and rotation disagree on dart count")
+        if any(type(x) is not int for f in (self.rotation, self.pairing, self.dart_vertex)
+               for x in f):
+            raise ValueError("darts and vertices must be ints")
         if sorted(self.rotation) != list(darts):
             raise ValueError("rotation is not a permutation of the darts")
-        if len(self.pairing) != len(self.rotation):
-            raise ValueError("pairing and rotation disagree on dart count")
         for d in darts:
             p = self.pairing[d]
-            if p == d or self.pairing[p] != d:
+            if p not in darts or p == d or self.pairing[p] != d:
                 raise ValueError("pairing is not a fixed-point-free involution")
             if self.dart_vertex[self.rotation[d]] != self.dart_vertex[d]:
                 raise ValueError("rotation moves a dart across vertices")
-        if len(self.dart_vertex) != len(self.rotation):
-            raise ValueError("dart_vertex and rotation disagree on dart count")
         for v in self.dart_vertex:
             if not 0 <= v < len(self.vertex_kind):
                 raise ValueError(f"dart attached to unknown vertex {v}")

@@ -565,13 +565,15 @@ def screen(u: BraidWord, v: BraidWord, g, h) -> Distinct | None:
     are g and h, as a ``Distinct``, or None: theta, singularity_count,
     degree, pair_invariants, then the ``rep.burau`` matrix at t = 3, u = 5,
     reported by its first differing entry as (row, col, value) on each
-    side.  The matrices are built on the strands the words touch only;
-    both are the identity off them."""
+    side.  Theta is read from the diagrams, which hold the strand
+    permutation.  The matrices are built on the strands the words touch
+    only; both are the identity off them."""
     from .gauss import pair_invariants
     from .rep import burau
 
-    for name, fn in (("theta", theta), ("singularity_count", singularity_count),
-                     ("degree", degree)):
+    if g.perm != h.perm:
+        return Distinct("theta", g.perm, h.perm)
+    for name, fn in (("singularity_count", singularity_count), ("degree", degree)):
         a, b = fn(u), fn(v)
         if a != b:
             return Distinct(name, a, b)

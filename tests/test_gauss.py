@@ -86,6 +86,66 @@ def test_pair_invariants_example():
     assert pair_invariants(gauss_of_braid(parse_word("s1 s1'", 2))) == {}
 
 
+def _two_loop_braid_of_gauss(g):
+    """Reference section: one routing loop per arrow orientation, each
+    finding a strand's slot with ``list.index``."""
+    from svbraid import compose_perms, rho, sigma, tau, virtual_word_of_perm
+
+    pos = list(range(1, g.n + 1))
+    letters = []
+
+    def swap(i):
+        letters.append(rho(i))
+        pos[i - 1], pos[i] = pos[i], pos[i - 1]
+
+    for ar in g.arrows:
+        if ar.kind == ArrowKind.NEG:
+            while pos.index(ar.head) != pos.index(ar.tail) - 1:
+                sh, st = pos.index(ar.head) + 1, pos.index(ar.tail) + 1
+                swap(sh if sh < st - 1 else sh - 1)
+            i = pos.index(ar.head) + 1
+            letters.append(sigma(i, -1))
+        else:
+            while pos.index(ar.head) != pos.index(ar.tail) + 1:
+                sh, st = pos.index(ar.head) + 1, pos.index(ar.tail) + 1
+                swap(sh - 1 if sh > st + 1 else sh)
+            i = pos.index(ar.tail) + 1
+            letters.append(sigma(i) if ar.kind == ArrowKind.POS else tau(i))
+        pos[i - 1], pos[i] = pos[i], pos[i - 1]
+    tail = virtual_word_of_perm(compose_perms(tuple(pos), g.perm))
+    return BraidWord(g.n, tuple(letters) + tail.letters)
+
+
+def _two_dict_pair_invariants(g):
+    """Reference pair invariants: writhe and singular counts kept apart,
+    merged over the sorted union of their keys."""
+    writhe, sing = {}, {}
+    for a in g.arrows:
+        key = (min(a.tail, a.head), max(a.tail, a.head))
+        if a.kind == ArrowKind.SING:
+            sing[key] = sing.get(key, 0) + 1
+        else:
+            writhe[key] = writhe.get(key, 0) + (1 if a.kind == ArrowKind.POS else -1)
+    out = {}
+    for key in sorted(set(writhe) | set(sing)):
+        w, s = writhe.get(key, 0), sing.get(key, 0)
+        if w or s:
+            out[key] = (w, s)
+    return out
+
+
+def test_section_and_pair_invariants_match_the_references():
+    rng = random.Random(41)
+    for _ in range(700):
+        n = rng.randint(2, 8)
+        for g in (random_gauss(rng, n, 12), gauss_of_braid(random_word(rng, n, 14))):
+            w = braid_of_gauss(g)
+            assert w.letters == _two_loop_braid_of_gauss(g).letters
+            assert gauss_of_braid(w) == g
+            got, want = pair_invariants(g), _two_dict_pair_invariants(g)
+            assert list(got.items()) == list(want.items())  # same keys in the same order
+
+
 def test_canonical_form_sorts_disjoint_arrows():
     g = GaussWord(4, (Arrow(3, 4, ArrowKind.POS), Arrow(1, 2, ArrowKind.POS)))
     c, trace = canonical_form_trace(g)

@@ -199,6 +199,10 @@ def test_pair_dict_roundtrip():
         pair_from_dict({"pure": "e"}, 3)
     with pytest.raises(ValueError):
         pair_from_dict({"pure": "e", "perm": [1, "x"]}, 2)
+    with pytest.raises(ValueError):
+        pair_from_dict({"pure": 5, "perm": [1, 2]}, 2)
+    with pytest.raises(TypeError):
+        parse_pure_word(5, 2)
 
 
 def test_pair_from_dict_rejects_non_int_perm():

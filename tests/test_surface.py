@@ -74,6 +74,13 @@ def test_ribbon_graph_validation():
         RibbonGraph((1, 0), (1, 0), (0, 0), ("circle",))
     with pytest.raises(ValueError):
         RibbonGraph((1, 0), (1, 0), (0, 1), ("circle", "circle"))
+    r = ribbon_of_braid(parse_word("s1 t2", 3))
+    for bad in (dict(dart_vertex=r.dart_vertex[:-1]),             # shorter than rotation
+                dict(pairing=(len(r.pairing),) + r.pairing[1:]),  # out of range
+                dict(dart_vertex=(0.0,) + r.dart_vertex[1:])):    # not an int
+        fields = {**vars(r), **bad}
+        with pytest.raises(ValueError):
+            RibbonGraph(**fields)
 
 
 def test_summary_dict():

@@ -279,8 +279,10 @@ def test_equivalent_trivial_and_one_move():
 def test_equivalent_distinct_by_invariants():
     v = equivalent(parse_word("s1", 2), parse_word("s1'", 2))
     assert isinstance(v, Distinct) and v.invariant == "degree"
-    v = equivalent(parse_word("r1", 3), parse_word("r2", 3))
+    u, w = parse_word("r1", 3), parse_word("r2", 3)
+    v = equivalent(u, w)
     assert isinstance(v, Distinct) and v.invariant == "theta"
+    assert (v.left, v.right) == (theta(u), theta(w))
     v = equivalent(parse_word("t1 t1", 2), parse_word("t1", 2))
     assert isinstance(v, Distinct)
 
