@@ -50,8 +50,8 @@ print(f"{print_word(u)} vs {print_word(v)}: distinct, burau matrices differ "
 print()
 
 # equivalent, but a small node budget cannot certify it
-u = parse_word("t1 s1 s1 s3 s1 t3", 4)
-v = parse_word("s1 s1 t1 t3 s1 s3", 4)
+u = parse_word("s2 s2 t2 s1' s2 s2 t2 s1", 4)
+v = parse_word("s2 t2 s2 s1' t2 s2 s2 s1", 4)
 verdict = equivalent(u, v, Budget(nodes=2000))
 assert isinstance(verdict, Unknown)
 print(f"{print_word(u)} vs {print_word(v)}: unknown after exploring "

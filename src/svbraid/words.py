@@ -457,6 +457,12 @@ def _rewrite_rules(n: int) -> tuple[tuple[str, str, str], ...]:
     return tuple(sorted(set(rules)))
 
 
+@lru_cache(maxsize=None)
+def _scoped_rules(rules: tuple[tuple[str, str, str], ...], kinds: frozenset[Kind]):
+    """The rules of ``rules``, in order, whose letters all have a kind in ``kinds``."""
+    return tuple(rule for rule in rules if all(ord(c) & 3 in kinds for c in rule[1] + rule[2]))
+
+
 def _byte_neighbors(state: str, rules, max_len: int):
     """All one-step rewrites of ``state``, as (label, pos, pat, rep, result)."""
     out = []
@@ -486,9 +492,17 @@ def _word_search(start: tuple[Generator, ...], goal: tuple[Generator, ...],
     """Bidirectional search between two letter sequences at n strands under
     ``_rewrite_rules`` instantiated on the strands they touch plus one to
     route through (at most n).  Letters pack alike at any n, so a
-    certificate found there holds at n.  Returns the moves as TraceSteps
-    shifted by ``offset``, or the search's Unknown once the node budget is spent."""
-    rules = _rewrite_rules(min(n, _touched_strands(start, goal) + 1))
+    certificate found there holds at n.  Of those rules it keeps the ones
+    whose letters have a kind the ends hold or are virtual (the detour move
+    inserts r r), and positive too when a negative is held, as R2 alone
+    holds s'; so a positive or singular slide inserts no s s'.  Returns the
+    moves as TraceSteps shifted by ``offset``, or the search's Unknown once
+    the node budget is spent."""
+    kinds = {g.kind for g in start + goal} | {Kind.VIRT}
+    if Kind.NEG in kinds:
+        kinds.add(Kind.POS)
+    rules = _scoped_rules(_rewrite_rules(min(n, _touched_strands(start, goal) + 1)),
+                          frozenset(kinds))
     found = bidirectional_search(encode_letters(start), encode_letters(goal),
                                  lambda state, cap: _byte_neighbors(state, rules, cap),
                                  max_nodes=max_nodes)

@@ -40,12 +40,12 @@ def test_equiv_exit_codes():
                      "--budget", "3000"])
     assert code == 3 and out.startswith("distinct: burau")
     # equivalent by construction, but beyond a 3000-node search
-    code, out = run(["equiv", "--n", "4", "t1 s1 s1 s3 s1 t3",
-                     "s1 s1 t1 t3 s1 s3", "--budget", "3000"])
+    code, out = run(["equiv", "--n", "4", "s2 s2 t2 s1' s2 s2 t2 s1",
+                     "s2 t2 s2 s1' t2 s2 s2 s1", "--budget", "3000"])
     assert code == 4 and out.startswith("unknown")
-    code, out = run(["equiv", "--n", "4", "t1 s1 s1 s3 s1 t3",
-                     "s1 s1 t1 t3 s1 s3"])
-    assert code == 0 and out == "equivalent: 5 moves\n"
+    code, out = run(["equiv", "--n", "4", "s2 s2 t2 s1' s2 s2 t2 s1",
+                     "s2 t2 s2 s1' t2 s2 s2 s1"])
+    assert code == 0 and out == "equivalent: 3 moves\n"
     code, out = run(["equiv", "--n", "70", "t69 s69", "s69 t69"])
     assert code == 0 and out == "equivalent: 1 moves\n"
 

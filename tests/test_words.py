@@ -306,7 +306,7 @@ def test_equivalent_rejects_mixed_strand_counts():
 
 def test_equivalent_traces_replay():
     rng = random.Random(3)
-    for n in (2, 3):
+    for n in (2, 3, 4):
         for inst in relation_catalog(n):
             v = equivalent(inst.lhs, inst.rhs)
             assert isinstance(v, Equivalent)
@@ -329,6 +329,7 @@ def test_equivalent_traces_replay():
     (5, "s1' s3' s3' r1 r2 s2'"),
     (5, "s2' t3 t3 s4 s4 r1 t2 s3' t3 t4"),
     (5, "r1 r4 s2 s2' s3 s1"),
+    (5, "r3 s4 r1 t2 s3 t3 r3 t1"),
 ])
 def test_equal_diagrams_are_equivalent(n, text):
     # each crossing slides through the straightened virtual letters before it
@@ -469,6 +470,44 @@ def test_search_rules_cover_the_touched_strands(monkeypatch):
     assert_catalog_steps(4, verdict.trace)
 
 
+def test_search_rules_take_the_letter_kinds_of_the_ends(monkeypatch):
+    # the kinds the two ends hold, plus virtual, plus positive with negative
+    tables = []
+    neighbors = words._byte_neighbors
+
+    def recording(state, rules, cap):
+        tables.append(rules)
+        return neighbors(state, rules, cap)
+
+    def search(left, right):
+        tables.clear()
+        found = words._word_search(parse_word(left, 3).letters,
+                                   parse_word(right, 3).letters, 3, 1000)
+        assert not isinstance(found, Unknown) and tables
+        assert_catalog_steps(3, found)
+        return set(tables)
+
+    def kinds(rule):
+        return {ord(c) & 3 for c in rule[1] + rule[2]}
+
+    monkeypatch.setattr(words, "_byte_neighbors", recording)
+    full = words._rewrite_rules(3)
+    # a positive and a singular slide through virtual letters, without s s'
+    (positive,) = search("r1 r2 s1", "s2 r1 r2")
+    assert len(positive) == 10 and sum(not rule[1] for rule in positive) == 2
+    assert set().union(*map(kinds, positive)) == {Kind.POS, Kind.VIRT}
+    (singular,) = search("r1 r2 t1", "t2 r1 r2")
+    assert len(singular) == 8
+    assert set().union(*map(kinds, singular)) == {Kind.SING, Kind.VIRT}
+    # all four kinds: the whole table
+    assert search("t1 s1 s2' r1", "s1 t1 s2' r1") == {full}
+    # negative without singular: exactly the rules without a t
+    (negative,) = search("s1' r2 r2", "s1'")
+    assert negative == tuple(rule for rule in full if Kind.SING not in kinds(rule))
+    assert isinstance(equivalent(parse_word("s1' s2' s1'", 3),
+                                 parse_word("s2' s1' s2'", 3)), Equivalent)
+
+
 def test_budget_binds_every_search(monkeypatch):
     seen = []
     search = words._word_search
@@ -486,7 +525,7 @@ def test_budget_binds_every_search(monkeypatch):
     assert len(seen) >= 2
     assert all(max_nodes == budget.nodes for max_nodes in seen)
     # the normalisation slide searches stop at the caller's node budget too
-    u, v = parse_word("r4 t1 s3 t3 t2 r1 r2", 5), parse_word("t1 r4 s3 t3 t2 r1 r2", 5)
+    u, v = parse_word("r4 s1' s3 t3 t2 r1 r2", 5), parse_word("s1' r4 s3 t3 t2 r1 r2", 5)
     verdict = equivalent(u, v, Budget(nodes=10))
     assert isinstance(verdict, Unknown) and verdict.nodes_explored <= 11
 
@@ -507,9 +546,9 @@ def test_failed_normalisation_skips_the_second_word(monkeypatch):
 
     monkeypatch.setattr(words, "_diagram_normal_trace", recording)
     monkeypatch.setattr(words, "_word_search", recording_search)
-    u, v = parse_word("r4 t1 s3 t3 t2 r1 r2", 5), parse_word("t1 r4 s3 t3 t2 r1 r2", 5)
+    u, v = parse_word("r4 s1' s3 t3 t2 r1 r2", 5), parse_word("s1' r4 s3 t3 t2 r1 r2", 5)
     verdict = equivalent(u, v, Budget(nodes=10))
-    assert calls == ["r4 t1 s3 t3 t2 r1 r2"]
+    assert calls == ["r4 s1' s3 t3 t2 r1 r2"]
     assert searches and all({start, goal} != {u.letters, v.letters}
                             for start, goal, _ in searches)
     assert isinstance(verdict, Unknown) and verdict.nodes_explored <= 11
@@ -520,13 +559,12 @@ def test_failed_normalisation_skips_the_second_word(monkeypatch):
 
 def test_equivalent_unknown_reports_effort():
     # equivalent by construction, but beyond a 2000-node search
-    u = parse_word("t1 s1 s1 s3 s1 t3", 4)
-    v = parse_word("s1 s1 t1 t3 s1 s3", 4)
-    verdict = equivalent(u, v, Budget(nodes=2000))
-    assert isinstance(verdict, Unknown)
-    assert verdict.nodes_explored > 0
+    u = parse_word("s2 s2 t2 s1' s2 s2 t2 s1", 4)
+    v = parse_word("s2 t2 s2 s1' t2 s2 s2 s1", 4)
+    assert equivalent(u, v, Budget(nodes=2000)) == Unknown(2001, 1, 1)
+    assert equivalent(u, v, Budget(nodes=3000)) == Unknown(3001, 1, 1)
     verdict = equivalent(u, v)
-    assert isinstance(verdict, Equivalent) and len(verdict.trace) == 5
+    assert isinstance(verdict, Equivalent) and len(verdict.trace) == 3
     # same cheap invariants, different diagrams: the burau screen separates them
     verdict = equivalent(parse_word("s1 t2", 3), parse_word("r1 s1 r1 t2", 3),
                          Budget(nodes=2000))
