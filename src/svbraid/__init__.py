@@ -10,25 +10,24 @@ from .words import (
 )
 from .gauss import (
     Arrow, ArrowKind, GaussWord, braid_of_gauss, canonical_form,
-    canonical_form_trace, gauss_from_dict, gauss_of_braid, gauss_to_dict,
-    omega_equivalent, pair_invariants, replay_omega_trace,
+    canonical_form_trace, gauss_of_braid, omega_equivalent, pair_invariants,
+    replay_omega_trace,
 )
 from .desing import (
-    FormalSum, degree_spectrum, eta, eta_hat, eta_hat_expansion, flatten,
-    formal_sum_from_dicts, formal_sum_to_dicts, scalar_preimage_check,
+    FormalSum, degree_spectrum, eta, eta_hat, eta_hat_expansion,
+    scalar_preimage_check,
 )
 from .pure import (
     PureGenerator, PureWord, SemidirectPair, SingularFactorization, X, Y,
     decompose, embed_pure_generator, embed_pure_word, factor_singular,
-    pair_from_dict, pair_to_dict, parse_pure_word, print_pure_word,
-    reassemble_factorization, reassemble_pair, semidirect_multiply,
-    sp_relation_instances, verify_sp_relations,
+    parse_pure_word, print_pure_word, reassemble_factorization,
+    reassemble_pair, semidirect_multiply, sp_relation_instances,
+    verify_sp_relations,
 )
 from .rep import burau
 from .surface import (
     RibbonGraph, SurfaceSummary, boundary_components, euler_by_traversal,
-    euler_characteristic, genus, ribbon_of_braid, summary_to_dict,
-    surface_summary,
+    euler_characteristic, genus, ribbon_of_braid, surface_summary,
 )
 from .suites import SUITE_NAMES, SuiteReport, run_suite
 

@@ -14,10 +14,10 @@ import json
 import sys
 
 from .desing import degree_spectrum, eta_hat
-from .gauss import braid_of_gauss, gauss_from_dict, gauss_of_braid, gauss_to_dict
-from .pure import decompose, factor_singular, pair_to_dict, print_pure_word
+from .gauss import Arrow, ArrowKind, GaussWord, braid_of_gauss, gauss_of_braid
+from .pure import decompose, factor_singular, print_pure_word
 from .suites import SUITE_NAMES, run_suite
-from .surface import summary_to_dict, surface_summary
+from .surface import surface_summary
 from .words import (Budget, Distinct, Equivalent, Unknown, degree, equivalent,
                     parse_word, print_word, relation_catalog, singularity_count,
                     theta)
@@ -119,8 +119,16 @@ def _cmd_equiv(args) -> tuple[int, str]:
     return 4, _emit(args.format, payload, text)
 
 
+# A diagram's arrow kinds as written in its JSON form.
+_ARROW_CHAR = {ArrowKind.POS: "+", ArrowKind.NEG: "-", ArrowKind.SING: "s"}
+
+
 def _cmd_to_gauss(args) -> tuple[int, str]:
-    d = gauss_to_dict(gauss_of_braid(parse_word(args.word, args.n)))
+    g = gauss_of_braid(parse_word(args.word, args.n))
+    d = {"n": g.n,
+         "arrows": [{"tail": a.tail, "head": a.head, "kind": _ARROW_CHAR[a.kind]}
+                    for a in g.arrows],
+         "perm": list(g.perm)}
     lines = [f"n: {d['n']}"]
     lines += [f"arrow: {a['tail']} -> {a['head']} {a['kind']}" for a in d["arrows"]]
     lines.append(f"perm: {d['perm']}")
@@ -132,7 +140,12 @@ def _cmd_from_gauss(args) -> tuple[int, str]:
         data = json.loads(args.diagram)
     except json.JSONDecodeError as exc:
         raise ValueError(f"diagram is not valid JSON: {exc}") from exc
-    g = gauss_from_dict(data)
+    kinds = {c: k for k, c in _ARROW_CHAR.items()}
+    try:
+        arrows = tuple(Arrow(a["tail"], a["head"], kinds[a["kind"]]) for a in data["arrows"])
+        g = GaussWord(data["n"], arrows, tuple(data["perm"]))
+    except (KeyError, TypeError) as exc:
+        raise ValueError(f"malformed gauss word data: {exc}") from exc
     w = braid_of_gauss(g)
     payload = {"n": g.n, "word": print_word(w)}
     return 0, _emit(args.format, payload, print_word(w) + "\n")
@@ -153,7 +166,8 @@ def _cmd_desing(args) -> tuple[int, str]:
 def _cmd_decompose(args) -> tuple[int, str]:
     pair = decompose(parse_word(args.word, args.n))
     text = f"pure: {print_pure_word(pair.pure)}\nperm: {list(pair.perm)}\n"
-    return 0, _emit(args.format, pair_to_dict(pair), text)
+    payload = {"pure": print_pure_word(pair.pure), "perm": list(pair.perm)}
+    return 0, _emit(args.format, payload, text)
 
 
 def _cmd_factor(args) -> tuple[int, str]:
@@ -170,7 +184,8 @@ def _cmd_factor(args) -> tuple[int, str]:
 def _cmd_genus(args) -> tuple[int, str]:
     s = surface_summary(parse_word(args.word, args.n))
     text = f"euler: {s.euler}\nboundaries: {s.boundaries}\ngenus: {s.genus}\n"
-    return 0, _emit(args.format, summary_to_dict(s), text)
+    payload = {"euler": s.euler, "boundaries": s.boundaries, "genus": s.genus}
+    return 0, _emit(args.format, payload, text)
 
 
 def _cmd_relations(args) -> tuple[int, str]:

@@ -14,7 +14,7 @@ from itertools import product
 from math import prod
 from typing import Iterable, Iterator
 
-from .words import (BraidWord, Kind, Verdict, _trusted, degree, equivalent, parse_word,
+from .words import (BraidWord, Kind, Verdict, _trusted, degree, equivalent,
                     print_word, sigma, singularity_count)
 
 
@@ -111,12 +111,6 @@ def eta(w: BraidWord) -> FormalSum:
     return eta_hat(w)
 
 
-def flatten(w: BraidWord) -> BraidWord:
-    """Replace every singular letter by the positive classical one."""
-    return BraidWord(w.n, tuple(
-        sigma(g.index) if g.kind == Kind.SING else g for g in w.letters))
-
-
 def degree_spectrum(f: FormalSum) -> DegreeSpectrum:
     """Histogram of term degrees weighted by absolute coefficient."""
     out: DegreeSpectrum = {}
@@ -133,18 +127,3 @@ def scalar_preimage_check(w: BraidWord) -> Verdict:
     singular word's image has one term at each of the degrees degree(w) -+ d,
     d >= 1, and degree is an invariant of VB_n, so a nonzero degree stays."""
     return equivalent(w, BraidWord(w.n))
-
-
-# --- serialisation ------------------------------------------------------
-
-def formal_sum_to_dicts(f: FormalSum) -> list[dict]:
-    rows = [{"coeff": coeff, "word": print_word(word)} for word, coeff in f.terms()]
-    rows.sort(key=lambda r: r["word"])
-    return rows
-
-
-def formal_sum_from_dicts(data: Iterable[dict], n: int) -> FormalSum:
-    try:
-        return FormalSum(n, ((parse_word(row["word"], n), row["coeff"]) for row in data))
-    except (KeyError, TypeError) as exc:
-        raise ValueError(f"malformed formal sum data: {exc}") from exc

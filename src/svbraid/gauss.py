@@ -296,27 +296,3 @@ def omega_equivalent(g: GaussWord, h: GaussWord) -> Verdict:
     if replay_omega_trace(g, trace) != h:
         raise AssertionError("omega_equivalent produced a trace that does not replay")
     return Equivalent(trace)
-
-
-# --- serialisation ------------------------------------------------------
-
-_KIND_TO_CHAR = {ArrowKind.POS: "+", ArrowKind.NEG: "-", ArrowKind.SING: "s"}
-_CHAR_TO_KIND = {v: k for k, v in _KIND_TO_CHAR.items()}
-
-
-def gauss_to_dict(g: GaussWord) -> dict:
-    return {
-        "n": g.n,
-        "arrows": [{"tail": a.tail, "head": a.head, "kind": _KIND_TO_CHAR[a.kind]}
-                   for a in g.arrows],
-        "perm": list(g.perm),
-    }
-
-
-def gauss_from_dict(d: dict) -> GaussWord:
-    try:
-        arrows = tuple(Arrow(a["tail"], a["head"], _CHAR_TO_KIND[a["kind"]])
-                       for a in d["arrows"])
-        return GaussWord(d["n"], arrows, tuple(d["perm"]))
-    except (KeyError, TypeError) as exc:
-        raise ValueError(f"malformed gauss word data: {exc}") from exc

@@ -188,10 +188,6 @@ class SPReport:
     def passed(self) -> bool:
         return all(isinstance(c.verdict, Equivalent) for c in self.checks)
 
-    def failures(self) -> tuple[SPCheck, ...]:
-        return tuple(c for c in self.checks
-                     if not isinstance(c.verdict, Equivalent))
-
 
 _SP_FAMILIES = {"O2": "SP1", "O3": "SP2", "SO2": "SP4", "SO3": "SP5"}
 
@@ -267,17 +263,3 @@ def reassemble_factorization(f: SingularFactorization) -> BraidWord:
         parts.append(concat(c, BraidWord(f.n, (tau(i),)), inverse_word(c)))
     parts.append(f.virtual_part)
     return concat(BraidWord(f.n), *parts)
-
-
-# --- serialisation ------------------------------------------------------
-
-def pair_to_dict(pair: SemidirectPair) -> dict:
-    return {"pure": print_pure_word(pair.pure), "perm": list(pair.perm)}
-
-
-def pair_from_dict(d: dict, n: int) -> SemidirectPair:
-    try:
-        pure = parse_pure_word(d["pure"], n)
-        return SemidirectPair(pure, tuple(d["perm"]))
-    except (KeyError, TypeError) as exc:
-        raise ValueError(f"malformed semidirect pair data: {exc}") from exc

@@ -171,7 +171,3 @@ def surface_summary(w: BraidWord) -> SurfaceSummary:
 
 def genus(w: BraidWord) -> int:
     return surface_summary(w).genus
-
-
-def summary_to_dict(s: SurfaceSummary) -> dict:
-    return {"euler": s.euler, "boundaries": s.boundaries, "genus": s.genus}

@@ -606,15 +606,17 @@ def equivalent(u: BraidWord, v: BraidWord, budget: Budget = Budget()) -> Verdict
     """Three-valued word problem.
 
     Both words are freely reduced (those deletions are themselves relation
-    applications, so they join the trace, and they keep every invariant of
-    ``screen``), and each reduced word's Gauss diagram is built once.
-    Distinct needs a separating invariant found by ``screen``.  Then one
-    path for each kind of pair: equal reduced words need nothing; reduced
-    words with equal diagrams are both normalised to the section
-    ``braid_of_gauss`` of that diagram (a word that is its own section
-    needs no search at all); any other pair goes to the global word
-    search.  Unknown is the verdict of the search that failed, as it is.
-    Every Equivalent trace is replayed from u to v before it is returned.
+    applications, so they join the trace).  Then one path for each kind of
+    pair.  Equal reduced words need nothing, not even a diagram.  Reduced
+    words with equal Gauss diagrams are one braid by the word-diagram
+    bijection, so no invariant can separate them and none is computed:
+    both are normalised to the section ``braid_of_gauss`` of that diagram
+    (a word that is its own section needs no search at all).  Only pairs
+    whose diagrams differ are screened: Distinct is the first separating
+    invariant ``screen`` finds, and a pair that passes goes to the global
+    word search.  Each diagram is built once.  Unknown is the verdict of
+    the search that failed, as it is.  Every Equivalent trace is replayed
+    from u to v before it is returned.
     """
     if u.n != v.n:
         raise ValueError("strand counts differ")
@@ -623,14 +625,9 @@ def equivalent(u: BraidWord, v: BraidWord, budget: Budget = Budget()) -> Verdict
 
     ur, trace_u = free_reduce_trace(u)
     vr, trace_v = free_reduce_trace(v)
-    g, h = gauss_of_braid(ur), gauss_of_braid(vr)
-    distinct = screen(ur, vr, g, h)
-    if distinct is not None:
-        return distinct
-
     if ur.letters == vr.letters:
         middle = ()
-    elif g == h:
+    elif (g := gauss_of_braid(ur)) == (h := gauss_of_braid(vr)):
         section = braid_of_gauss(g).letters
         middle = _diagram_normal_trace(ur, section, budget)
         if not isinstance(middle, Unknown):
@@ -638,6 +635,9 @@ def equivalent(u: BraidWord, v: BraidWord, budget: Budget = Budget()) -> Verdict
             middle = tv if isinstance(tv, Unknown) else \
                 middle + tuple(invert_step(s) for s in reversed(tv))
     else:
+        distinct = screen(ur, vr, g, h)
+        if distinct is not None:
+            return distinct
         middle = _word_search(ur.letters, vr.letters, u.n, budget.nodes)
     if isinstance(middle, Unknown):
         return middle

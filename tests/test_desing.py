@@ -5,9 +5,8 @@ import pytest
 
 from svbraid import (
     BraidWord, Distinct, Equivalent, FormalSum, Generator, Kind, Unknown, degree,
-    degree_spectrum, eta, eta_hat, eta_hat_expansion, flatten, formal_sum_from_dicts,
-    formal_sum_to_dicts, free_reduce, parse_word, print_word, replay_trace,
-    scalar_preimage_check, singularity_count,
+    degree_spectrum, eta, eta_hat, eta_hat_expansion, free_reduce, parse_word,
+    print_word, replay_trace, scalar_preimage_check, singularity_count,
 )
 from svbraid.suites import random_word
 
@@ -81,7 +80,6 @@ def test_eta_hat_is_the_exact_expansion():
             assert singularity_count(w) == d
             terms = list(eta_hat(w).terms())
             assert terms == _expand_by_hand(w)
-            assert terms[0][0] == flatten(w)
             assert len(terms) == 2 ** d
             assert all(type(c) is int and abs(c) == 1 for _, c in terms)
             assert [(c, t) for t, c in terms] == list(eta_hat_expansion(w))
@@ -113,10 +111,6 @@ def test_eta_rejects_virtual_letters():
     assert len(fs) == 2
 
 
-def test_flatten():
-    assert print_word(flatten(parse_word("r1 t2 s1'", 3))) == "r1 s2 s1'"
-
-
 def test_formal_sum_arithmetic():
     fs = FormalSum(2)
     w = parse_word("s1", 2)
@@ -129,6 +123,9 @@ def test_formal_sum_arithmetic():
         fs.add(parse_word("s1", 3), 1)
     with pytest.raises(ValueError):
         fs.add(parse_word("t1", 2), 1)
+    for coeff in (1.5, True, "1"):
+        with pytest.raises(ValueError):
+            fs.add(w, coeff)
 
 
 def test_formal_sum_terms_are_the_added_words():
@@ -156,23 +153,6 @@ def test_formal_sum_equality_ignores_order():
     b.add(v, -1)
     b.add(u, 1)
     assert a == b
-
-
-def test_dict_roundtrip():
-    fs = eta_hat(parse_word(OMEGA, 3))
-    rows = formal_sum_to_dicts(fs)
-    assert rows == sorted(rows, key=lambda r: r["word"])
-    assert formal_sum_from_dicts(rows, 3) == fs
-
-
-def test_formal_sum_rejects_malformed_data():
-    for data in ([{"word": "s1"}], 5, [{"coeff": 1, "word": 7}],
-                 [{"coeff": 1.5, "word": "s1"}], [{"coeff": True, "word": "s1"}]):
-        with pytest.raises(ValueError):
-            formal_sum_from_dicts(data, 3)
-    for coeff in (1.5, True, "1"):
-        with pytest.raises(ValueError):
-            FormalSum(2).add(parse_word("s1", 2), coeff)
 
 
 def test_scalar_preimage_examples():

@@ -5,10 +5,9 @@ import pytest
 
 from svbraid import (
     Arrow, ArrowKind, BraidWord, Distinct, Equivalent, GaussWord, TraceStep,
-    braid_of_gauss, canonical_form, canonical_form_trace, gauss_from_dict,
-    gauss_of_braid, gauss_to_dict, omega_equivalent,
-    pair_invariants, parse_word, print_word, relation_catalog,
-    replay_omega_trace, theta,
+    braid_of_gauss, canonical_form, canonical_form_trace, gauss_of_braid,
+    omega_equivalent, pair_invariants, parse_word, print_word,
+    relation_catalog, replay_omega_trace, theta,
 )
 from svbraid import gauss
 from svbraid.suites import random_gauss, random_word
@@ -358,13 +357,3 @@ def test_omega_equivalent_unknown_at_its_node_limit(monkeypatch):
     assert Budget().nodes == 200_000
     g, h = (gauss_of_braid(parse_word(text, 3)) for text in ("s2 s1 t2", "t1 s2 s1"))
     assert omega_equivalent(g, h) == Unknown(301, 1, 1)
-
-
-def test_dict_roundtrip():
-    rng = random.Random(43)
-    for _ in range(50):
-        g = random_gauss(rng, rng.randint(2, 5), 6)
-        assert gauss_from_dict(gauss_to_dict(g)) == g
-    with pytest.raises(ValueError):
-        gauss_from_dict({"n": 2, "arrows": [{"tail": 1, "head": 2, "kind": "?"}],
-                         "perm": [1, 2]})

@@ -5,7 +5,7 @@ import pytest
 from svbraid import (
     BraidWord, Kind, RibbonGraph, boundary_components, euler_by_traversal,
     euler_characteristic, genus, parse_word, relation_catalog, ribbon_of_braid,
-    summary_to_dict, surface_summary,
+    surface_summary,
 )
 from svbraid.suites import random_word
 
@@ -81,8 +81,3 @@ def test_ribbon_graph_validation():
         fields = {**vars(r), **bad}
         with pytest.raises(ValueError):
             RibbonGraph(**fields)
-
-
-def test_summary_dict():
-    assert summary_to_dict(surface_summary(parse_word("r1 t2 r1", 3))) == {
-        "euler": -4, "boundaries": 4, "genus": 1}

@@ -322,7 +322,7 @@ def test_equivalent_traces_replay():
         assert_catalog_steps(3, v.trace)
 
 
-@pytest.mark.parametrize("n, text", [
+EQUAL_DIAGRAM_WORDS = [
     (3, "r2 r1 s2 r1 r2 r1"),
     (3, "r2 r1 s2' r1 r2 r1"),
     (3, "r2 r1 t2 r1 r2 r1"),
@@ -330,7 +330,10 @@ def test_equivalent_traces_replay():
     (5, "s2' t3 t3 s4 s4 r1 t2 s3' t3 t4"),
     (5, "r1 r4 s2 s2' s3 s1"),
     (5, "r3 s4 r1 t2 s3 t3 r3 t1"),
-])
+]
+
+
+@pytest.mark.parametrize("n, text", EQUAL_DIAGRAM_WORDS)
 def test_equal_diagrams_are_equivalent(n, text):
     # each crossing slides through the straightened virtual letters before it
     u = parse_word(text, n)
@@ -434,7 +437,7 @@ def test_burau_screen_covers_the_touched_strands_only(monkeypatch):
 
 
 def test_equivalent_builds_each_diagram_once(monkeypatch):
-    # the reduced words' diagrams serve both the screen and the equal-diagram test
+    # the reduced words' diagrams serve both the equal-diagram test and the screen
     calls = []
     build = gauss.gauss_of_braid
 
@@ -445,6 +448,31 @@ def test_equivalent_builds_each_diagram_once(monkeypatch):
     monkeypatch.setattr(gauss, "gauss_of_braid", counting)
     assert isinstance(equivalent(parse_word("t1 s1", 2), parse_word("s1 t1", 2)), Equivalent)
     assert calls == ["t1 s1", "s1 t1"]
+    # equal reduced words need no diagram: free reduction is the certificate
+    calls.clear()
+    verdict = equivalent(parse_word("s1 s1' t1", 2), parse_word("t1", 2))
+    assert verdict == Equivalent((TraceStep("R2", 0, (sigma(1), sigma(1, -1)), ()),))
+    assert calls == []
+
+
+def test_equal_diagrams_skip_the_screen(monkeypatch):
+    # words with one diagram are one braid, so no invariant is computed for them
+    def no_screen(*args):
+        raise AssertionError("screen ran")
+
+    monkeypatch.setattr(words, "screen", no_screen)
+    pairs = [(n, parse_word(text, n)) for n, text in EQUAL_DIAGRAM_WORDS]
+    pairs = [(n, u, braid_of_gauss(gauss_of_braid(u))) for n, u in pairs]
+    pairs.append((6, parse_word("r1 r2 r1 r3 r5 r2 r1 r3 r4", 6),
+                  parse_word("r3 r2 r1 r3 r2 r5 r4", 6)))
+    for n, u, v in pairs:
+        verdict = equivalent(u, v)
+        assert isinstance(verdict, Equivalent), (u, verdict)
+        assert_catalog_steps(n, verdict.trace)
+    # a pair whose diagrams differ is still screened
+    monkeypatch.undo()
+    verdict = equivalent(parse_word("s1 t2", 3), parse_word("r1 s1 r1 t2", 3))
+    assert isinstance(verdict, Distinct) and verdict.invariant == "burau"
 
 
 def test_search_rules_cover_the_touched_strands(monkeypatch):
