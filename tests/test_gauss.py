@@ -1,3 +1,4 @@
+import json
 import random
 from itertools import permutations
 
@@ -10,6 +11,7 @@ from svbraid import (
     relation_catalog, replay_omega_trace, theta,
 )
 from svbraid import gauss
+from svbraid.cli import run
 from svbraid.suites import random_gauss, random_word
 from svbraid.words import Budget, Unknown, screen
 
@@ -143,6 +145,26 @@ def test_section_and_pair_invariants_match_the_references():
             assert gauss_of_braid(w) == g
             got, want = pair_invariants(g), _two_dict_pair_invariants(g)
             assert list(got.items()) == list(want.items())  # same keys in the same order
+
+
+def test_dict_roundtrip():
+    # a diagram's JSON form, as `svb from-gauss` reads it and `svb to-gauss`
+    # writes it, comes back unchanged through the diagram's section
+    rng = random.Random(43)
+    for _ in range(50):
+        g = random_gauss(rng, rng.randint(2, 5), 6)
+        diagram = {"n": g.n,
+                   "arrows": [{"tail": a.tail, "head": a.head, "kind": "+-s"[a.kind]}
+                              for a in g.arrows],
+                   "perm": list(g.perm)}
+        code, word = run(["from-gauss", json.dumps(diagram)])
+        assert code == 0
+        code, out = run(["to-gauss", "--n", str(g.n), word.strip(), "--format", "json"])
+        assert code == 0 and json.loads(out) == diagram
+    # an unknown arrow kind is a domain error
+    code, out = run(["from-gauss", json.dumps({"n": 2, "arrows": [{"tail": 1, "head": 2, "kind": "?"}],
+                                               "perm": [1, 2]})])
+    assert code == 1 and out == ""
 
 
 def test_canonical_form_sorts_disjoint_arrows():
